@@ -232,7 +232,7 @@ func contentionModel(b *testing.B, cfg core.Config) (*core.Model, *microsim.Scen
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := core.Train(sc.Result.DB, g, cfg)
+	m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func BenchmarkCoreTrainOnline(b *testing.B) {
 	cfg := benchConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Train(sc.Result.DB, g, cfg); err != nil {
+		if _, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func BenchmarkAblationTopB(b *testing.B) {
 			cfg.TopB = topB
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Train(sc.Result.DB, g, cfg); err != nil {
+				if _, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -328,7 +328,7 @@ func BenchmarkAblationEdgeDirectionality(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := core.Train(sc.Result.DB, g, cfg)
+		m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func BenchmarkAblationEdgeDirectionality(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := core.Train(dagDB, g, cfg)
+		m, err := core.TrainOpt(context.Background(), dagDB, g, cfg, core.TrainOpts{Now: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func BenchmarkDiagnoseParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := m.DiagnoseParallel(sc.Symptom, workers); err != nil {
+				if _, err := m.DiagnoseContext(context.Background(), sc.Symptom, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -417,7 +417,7 @@ func BenchmarkAblationFactorModel(b *testing.B) {
 		tr := tr
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, err := core.TrainAt(sc.Result.DB, g, cfg, sc.Result.DB.Len()-1, tr)
+				m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1, Trainer: tr})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -442,7 +442,7 @@ func BenchmarkAblationCombinedTraining(b *testing.B) {
 	cfg := benchConfig()
 	b.Run("online-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Train(sc.Result.DB, g, cfg); err != nil {
+			if _, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -457,10 +457,10 @@ func BenchmarkAblationCombinedTraining(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Inference fast path: factor cache + early-stopped counterfactual tests
+// Inference fast path: factor store + early-stopped counterfactual tests
 
 // BenchmarkFastPathDiagnoseParallel times the operator triage loop (online
-// retrain + DiagnoseParallel at the same slice) with the shared-computation
+// retrain + parallel diagnosis at the same slice) with the shared-computation
 // fast path off and on. The sample budget is the paper's scale so the
 // sequential tests have room to cut it.
 func BenchmarkFastPathDiagnoseParallel(b *testing.B) {
@@ -477,30 +477,30 @@ func BenchmarkFastPathDiagnoseParallel(b *testing.B) {
 	base.Samples = 4000
 	variants := []struct {
 		name         string
-		early, cache bool
+		early, store bool
 	}{
 		{"baseline", false, false},
-		{"cache", false, true},
-		{"cache+earlystop", true, true},
+		{"store", false, true},
+		{"store+earlystop", true, true},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			cfg := base
 			if v.early {
-				cfg.EarlyStop = true
-				cfg.EarlyStopConfidence = 0.999
+				cfg.Sampler.EarlyStop = true
+				cfg.Sampler.EarlyStopConfidence = 0.999
 			}
-			var cache *core.FactorCache
-			if v.cache {
-				cache = core.NewFactorCache(0)
+			var store *core.FactorStore
+			if v.store {
+				store = core.NewFactorStore()
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Cache: cache})
+				m, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Store: store})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := m.DiagnoseParallel(sc.Symptom, 4); err != nil {
+				if _, err := m.DiagnoseContext(context.Background(), sc.Symptom, 4); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -619,7 +619,7 @@ func BenchmarkDiagnoseChains(b *testing.B) {
 	for _, chains := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("chains%d", chains), func(b *testing.B) {
 			cfg := benchConfig()
-			cfg.Chains = chains
+			cfg.Sampler.Chains = chains
 			m, sc := contentionModel(b, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

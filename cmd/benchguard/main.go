@@ -13,8 +13,11 @@
 //
 // The baseline file is the raw benchmark output format ("BenchmarkName N
 // ns/op"); -update rewrites it from the current input instead of comparing.
-// Benchmarks present on only one side are reported but never fail the run, so
-// adding or retiring benchmarks does not require touching the guard.
+// A benchmark new in the current run is reported without failing, so adding
+// one does not require touching the baseline. A baseline entry missing from
+// the run fails it: a renamed, retired or unselected benchmark would
+// otherwise drop its gate silently, so retiring one means editing the
+// baseline.
 //
 // Two metric classes are guarded. ns/op is lower-is-better: the guard fails
 // when current exceeds baseline by more than the tolerance factor. Throughput
@@ -70,7 +73,7 @@ func main() {
 	}
 	failed := compare(os.Stdout, base, cur, *tolerance)
 	if failed > 0 {
-		fatal(fmt.Errorf("%d metric(s) regressed beyond %.1fx", failed, *tolerance))
+		fatal(fmt.Errorf("%d metric(s) regressed beyond %.1fx or missing from the run", failed, *tolerance))
 	}
 }
 
@@ -165,8 +168,9 @@ func writeBaseline(path string, benches map[string]metrics) error {
 }
 
 // compare prints one row per (benchmark, metric) and returns how many
-// regressed: ns/op fails above tolerance, higher-is-better metrics fail below
-// 1/tolerance.
+// failed: ns/op fails above tolerance, higher-is-better metrics fail below
+// 1/tolerance, and every baseline benchmark absent from the current run
+// fails once.
 func compare(w io.Writer, base, cur map[string]metrics, tolerance float64) int {
 	names := make([]string, 0, len(cur))
 	for n := range cur {
@@ -203,10 +207,16 @@ func compare(w io.Writer, base, cur map[string]metrics, tolerance float64) int {
 			fmt.Fprintf(w, "  %-8s %-55s %12.0f %s vs %12.0f (%.2fx)\n", status, n, cur[n][u], u, bv, ratio)
 		}
 	}
+	var missing []string
 	for n := range base {
 		if _, ok := cur[n]; !ok {
-			fmt.Fprintf(w, "  missing  %-55s (in baseline, not in current run)\n", n)
+			missing = append(missing, n)
 		}
+	}
+	sort.Strings(missing)
+	for _, n := range missing {
+		fmt.Fprintf(w, "  MISSING  %-55s (in baseline, not in current run)\n", n)
+		failed++
 	}
 	return failed
 }

@@ -83,11 +83,13 @@ func TestCompareOneSided(t *testing.T) {
 		"BenchmarkB":   {"ns/op": 100, "samples/sec": 1}, // new metric on known bench
 	}
 	var sb strings.Builder
-	if got := compare(&sb, base, cur, 4.0); got != 0 {
-		t.Errorf("one-sided benchmarks/metrics must never fail, got %d failures\n%s", got, sb.String())
+	// New benchmarks and metrics are reported without failing; the baseline
+	// entry the run no longer produces fails once, or its gate would vanish.
+	if got := compare(&sb, base, cur, 4.0); got != 1 {
+		t.Errorf("only the missing baseline entry should fail, got %d failures\n%s", got, sb.String())
 	}
 	out := sb.String()
-	for _, want := range []string{"new", "missing", "BenchmarkOld", "BenchmarkNew"} {
+	for _, want := range []string{"new", "MISSING", "BenchmarkOld", "BenchmarkNew"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

@@ -41,8 +41,7 @@ func main() {
 		chains   = flag.Int("chains", 1, "independent Gibbs chains per counterfactual test (1 = single-stream sampler)")
 		prec     = flag.String("precision", "float64", "sampling kernel precision: float64 (bit-stable default) or float32 (fast path)")
 		retries  = flag.Int("retries", 0, "retry attempts for transient telemetry read faults (0 = no retry layer)")
-		cache    = flag.Bool("cache", false, "reuse trained factors across the diagnoses of this run (behavior-preserving)")
-		inctrain = flag.Bool("inctrain", false, "maintain trained factors incrementally across the diagnoses of this run: windows that slide between diagnoses update sufficient statistics instead of retraining (supersedes -cache)")
+		inctrain = flag.Bool("inctrain", false, "maintain trained factors incrementally across the diagnoses of this run: windows that slide between diagnoses update sufficient statistics instead of retraining")
 		early    = flag.Float64("earlystop", 0, "early-stop confidence for the counterfactual tests, e.g. 0.999 (0 = full sample budget)")
 		edges    = flag.String("edges", "", "edge-list file overlaying known associations onto the snapshot (\"a -> b\" directed, \"a -- b\" loose)")
 		outFmt   = flag.String("o", "text", "output format: text or json (the versioned Report schema)")
@@ -105,6 +104,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "murphy: unknown -precision %q (want float64 or float32)\n", *prec)
 		os.Exit(2)
 	}
+	if *early > 0 {
+		sampler.EarlyStop = true
+		sampler.EarlyStopConfidence = *early
+	}
 	if sampler != (murphy.SamplerConfig{}) {
 		opts = append(opts, murphy.WithSampler(sampler))
 	}
@@ -113,14 +116,8 @@ func main() {
 			Retry: &murphy.RetryPolicy{MaxAttempts: *retries},
 		}))
 	}
-	if *cache {
-		opts = append(opts, murphy.WithCaching(murphy.Caching{}))
-	}
 	if *inctrain {
 		opts = append(opts, murphy.WithIncrementalTraining(murphy.IncrementalTraining{}))
-	}
-	if *early > 0 {
-		opts = append(opts, murphy.WithEarlyStop(*early))
 	}
 	if *stats || *listen != "" {
 		opts = append(opts, murphy.WithStats())
@@ -172,8 +169,8 @@ func main() {
 		fmt.Printf("found %d problematic symptom(s) in app %q\n", len(symptoms), *app)
 	}
 	// One DiagnoseBatch call trains the MRF once and reuses the model (and
-	// the session's subgraph/factor caches) for every symptom, instead of
-	// paying the online training pass per symptom.
+	// its subgraph cache) for every symptom, instead of paying the online
+	// training pass per symptom.
 	items, err := sys.DiagnoseBatch(ctx, symptoms)
 	if err != nil {
 		fatal(err)

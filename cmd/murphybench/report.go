@@ -46,7 +46,7 @@ type benchReport struct {
 type fastPathJSON struct {
 	Diagnoses         int     `json:"diagnoses"`
 	BaselineMs        float64 `json:"baseline_ms"`
-	CacheOnlyMs       float64 `json:"cache_only_ms"`
+	StoreOnlyMs       float64 `json:"store_only_ms"`
 	FastMs            float64 `json:"fast_ms"`
 	Speedup           float64 `json:"speedup"`
 	RankingsIdentical bool    `json:"rankings_identical"`
@@ -111,7 +111,7 @@ func fastPathReport(r *harness.FastPathResult) *fastPathJSON {
 	return &fastPathJSON{
 		Diagnoses:         r.Diagnoses,
 		BaselineMs:        float64(r.BaselineTime) / float64(time.Millisecond),
-		CacheOnlyMs:       float64(r.CacheOnlyTime) / float64(time.Millisecond),
+		StoreOnlyMs:       float64(r.StoreOnlyTime) / float64(time.Millisecond),
 		FastMs:            float64(r.FastTime) / float64(time.Millisecond),
 		Speedup:           r.Speedup,
 		RankingsIdentical: r.RankingsIdentical,

@@ -1,6 +1,6 @@
 // Golden end-to-end ranking tests: seed-fixed diagnoses whose exact ranked
 // cause lists are pinned, proving (a) the pipeline is deterministic, (b) the
-// factor cache is behavior-preserving bit for bit, and (c) the early-stop
+// factor store is behavior-preserving bit for bit, and (c) the early-stop
 // fast path keeps the top-1 verdict. Any intended ranking change must update
 // these lists consciously.
 package murphy
@@ -62,6 +62,29 @@ func diagnoseRanked(t *testing.T, db *telemetry.DB, sym telemetry.Symptom, extra
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// diagnoseStoreRounds builds one System with its own factor store and the
+// given extra options, then diagnoses twice at the same slice: the first
+// report comes from the store's anchoring pass, the second from stored
+// factors handed back unchanged.
+func diagnoseStoreRounds(t *testing.T, db *telemetry.DB, sym telemetry.Symptom, extra ...Option) [2]*Report {
+	t.Helper()
+	opts := append([]Option{WithConfig(goldenConfig()), WithSeeds(sym.Entity), WithIncrementalTraining(IncrementalTraining{})}, extra...)
+	sys, err := New(db, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps [2]*Report
+	for i := range reps {
+		if reps[i], err = sys.Diagnose(sym); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, _ := sys.FactorStoreStats(); st.Hits == 0 || st.Hits != st.Refits {
+		t.Fatalf("second diagnosis should be served from stored factors: %+v", st)
+	}
+	return reps
 }
 
 // rankedEntities lists the certified (non-degraded) causes in rank order.
@@ -141,16 +164,19 @@ func TestGoldenMicrosimRanking(t *testing.T) {
 		t.Errorf("top-1 = %q, want the contended search service", top[0])
 	}
 
-	// The factor cache must be invisible in the output, bit for bit —
-	// sequentially and under DiagnoseParallel.
-	cached := diagnoseRanked(t, db, sc.Symptom, WithFactorCache(0))
-	assertIdenticalCauses(t, "cache on vs off", baseline, cached)
-	cachedPar := diagnoseRanked(t, db, sc.Symptom, WithFactorCache(0), WithWorkers(4))
-	assertIdenticalCauses(t, "cache+parallel vs baseline", baseline, cachedPar)
+	// The factor store must be invisible in the output, bit for bit — on
+	// its anchoring pass and on the same-slice hit, serially and with
+	// parallel candidate evaluation.
+	for _, rep := range diagnoseStoreRounds(t, db, sc.Symptom) {
+		assertIdenticalCauses(t, "store on vs off", baseline, rep)
+	}
+	for _, rep := range diagnoseStoreRounds(t, db, sc.Symptom, WithWorkers(4)) {
+		assertIdenticalCauses(t, "store+parallel vs baseline", baseline, rep)
+	}
 
 	// The early-stop fast path may truncate p-values but must keep the
 	// top-ranked cause (and, on this clear-cut scenario, the accept set).
-	fast := diagnoseRanked(t, db, sc.Symptom, WithFactorCache(0), WithEarlyStop(0.999), WithWorkers(4))
+	fast := diagnoseRanked(t, db, sc.Symptom, WithIncrementalTraining(IncrementalTraining{}), WithSampler(SamplerConfig{EarlyStop: true, EarlyStopConfidence: 0.999}), WithWorkers(4))
 	assertSameTop1(t, "early stop vs baseline", baseline, fast)
 	assertGolden(t, rankedEntities(fast), goldenMicrosim)
 }
@@ -166,9 +192,10 @@ func TestGoldenEnterpriseRanking(t *testing.T) {
 	baseline := diagnoseRanked(t, db, inc.Symptom)
 	assertGolden(t, rankedEntities(baseline), goldenEnterprise)
 
-	cached := diagnoseRanked(t, db, inc.Symptom, WithFactorCache(0), WithWorkers(4))
-	assertIdenticalCauses(t, "cache on vs off", baseline, cached)
+	for _, rep := range diagnoseStoreRounds(t, db, inc.Symptom, WithWorkers(4)) {
+		assertIdenticalCauses(t, "store on vs off", baseline, rep)
+	}
 
-	fast := diagnoseRanked(t, db, inc.Symptom, WithFactorCache(0), WithEarlyStop(0.999), WithWorkers(4))
+	fast := diagnoseRanked(t, db, inc.Symptom, WithIncrementalTraining(IncrementalTraining{}), WithSampler(SamplerConfig{EarlyStop: true, EarlyStopConfidence: 0.999}), WithWorkers(4))
 	assertSameTop1(t, "early stop vs baseline", baseline, fast)
 }

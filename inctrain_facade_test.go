@@ -125,37 +125,9 @@ func TestWithIncrementalTrainingPrecedence(t *testing.T) {
 	}
 }
 
-// TestIncrementalTrainingSupersedesCaching: with both reuse mechanisms
-// configured the store takes over and the cache sees no traffic, in either
-// option order.
-func TestIncrementalTrainingSupersedesCaching(t *testing.T) {
-	sym := telemetry.Symptom{Entity: "backend", Metric: telemetry.MetricCPU, High: true}
-	for _, order := range []string{"cache-first", "store-first"} {
-		cache := NewFactorCache(0)
-		store := NewFactorStore()
-		opts := []Option{
-			WithCaching(Caching{Shared: cache}),
-			WithIncrementalTraining(IncrementalTraining{Store: store}),
-		}
-		if order == "store-first" {
-			opts[0], opts[1] = opts[1], opts[0]
-		}
-		sys := testSystem(t, opts...)
-		if _, err := sys.Diagnose(sym); err != nil {
-			t.Fatal(err)
-		}
-		if cs, _ := sys.FactorCacheStats(); cs.Hits != 0 || cs.Misses != 0 {
-			t.Fatalf("%s: cache should see no traffic: %+v", order, cs)
-		}
-		if ss, _ := sys.FactorStoreStats(); ss.Refits == 0 {
-			t.Fatalf("%s: store should have anchored: %+v", order, ss)
-		}
-	}
-}
-
-// TestIncrementalTrainingBypassedWithSource: an interposed (fallible) read
-// path bypasses the store exactly like it bypasses the cache.
-func TestIncrementalTrainingBypassedWithSource(t *testing.T) {
+// TestIncrementalTrainingBypassedByResilience: an interposed (fallible) read
+// path bypasses the store.
+func TestIncrementalTrainingBypassedByResilience(t *testing.T) {
 	db := demoDB(t)
 	cfg := DefaultConfig()
 	cfg.Samples = 200

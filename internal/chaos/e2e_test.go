@@ -54,7 +54,7 @@ func TestDiagnosisSurvivesTransientFaults(t *testing.T) {
 		Seed:        1,
 	}.WithSleep(func(context.Context, time.Duration) error { return nil }), nil)
 
-	m, err := core.TrainSource(context.Background(), db, src, g, murphyConfig())
+	m, err := core.TrainOpt(context.Background(), db, g, murphyConfig(), core.TrainOpts{Now: -1, Src: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDiagnosisSurvivesTransientFaults(t *testing.T) {
 
 // TestParallelDiagnosisUnderChaosAndPanic is the acceptance drill: 10%
 // transient read faults plus one panicking candidate evaluator, and
-// DiagnoseParallel must still complete with the ground-truth root cause in
+// a four-worker diagnosis must still complete with the ground-truth root cause in
 // the top 3.
 func TestParallelDiagnosisUnderChaosAndPanic(t *testing.T) {
 	sc, accept := contentionScenario(t)
@@ -90,7 +90,7 @@ func TestParallelDiagnosisUnderChaosAndPanic(t *testing.T) {
 		MaxAttempts: 5,
 		Seed:        2,
 	}.WithSleep(func(context.Context, time.Duration) error { return nil }), nil)
-	m, err := core.TrainSource(context.Background(), db, src, g, murphyConfig())
+	m, err := core.TrainOpt(context.Background(), db, g, murphyConfig(), core.TrainOpts{Now: -1, Src: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestParallelDiagnosisUnderChaosAndPanic(t *testing.T) {
 			panic("chaos: poisoned candidate")
 		}
 	})
-	diag, err := m.DiagnoseParallelContext(context.Background(), sc.Symptom, 4)
+	diag, err := m.DiagnoseContext(context.Background(), sc.Symptom, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

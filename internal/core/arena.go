@@ -11,7 +11,7 @@ import "sync"
 // passes, batches, or candidates; they just get reused at whatever capacity
 // they last grew to.
 //
-// An arena is single-goroutine scratch; multi-chain and DiagnoseParallel
+// An arena is single-goroutine scratch; multi-chain and parallel diagnosis
 // workers each take their own from the model's pool.
 type arena struct {
 	vals64 [][]float64

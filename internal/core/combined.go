@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"murphy/internal/graph"
@@ -46,11 +47,11 @@ func TrainCombined(db *telemetry.DB, g *graph.Graph, cfg Config, offlineEnd int,
 	}
 	offCfg := cfg
 	offCfg.TrainWindow = offlineWindow
-	offline, err := TrainAt(db, g, offCfg, offlineEnd, nil)
+	offline, err := trainAt(context.Background(), db, g, offCfg, TrainOpts{Now: offlineEnd})
 	if err != nil {
 		return nil, fmt.Errorf("core: offline half: %w", err)
 	}
-	online, err := Train(db, g, cfg)
+	online, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1})
 	if err != nil {
 		return nil, fmt.Errorf("core: online half: %w", err)
 	}

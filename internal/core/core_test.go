@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,7 +86,7 @@ func trainChain(t *testing.T) (*telemetry.DB, *Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(db, g, testConfig())
+	m, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +116,17 @@ func TestTrainBasics(t *testing.T) {
 func TestTrainErrors(t *testing.T) {
 	db := chainDB(t, 220, 5, 1)
 	g, _ := graph.Build(db, []telemetry.EntityID{"back"}, -1)
-	if _, err := Train(telemetry.NewDB(60), g, testConfig()); err == nil {
+	if _, err := TrainOpt(context.Background(), telemetry.NewDB(60), g, testConfig(), TrainOpts{Now: -1}); err == nil {
 		t.Fatal("empty db should error")
 	}
-	if _, err := TrainAt(db, g, testConfig(), -1, nil); err == nil {
+	if _, err := trainAt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1}); err == nil {
 		t.Fatal("negative endpoint should error")
 	}
-	if _, err := TrainAt(db, g, testConfig(), 9999, nil); err == nil {
+	if _, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: 9999}); err == nil {
 		t.Fatal("endpoint past timeline should error")
 	}
 	cfg := testConfig()
-	if _, err := TrainAt(db, g, cfg, 3, nil); err == nil {
+	if _, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: 3}); err == nil {
 		t.Fatal("window of 4 slices should be too short")
 	}
 }
@@ -211,7 +212,7 @@ func TestEvaluateCandidateUnreachable(t *testing.T) {
 		}
 	}
 	g, _ := graph.Build(db, []telemetry.EntityID{"back", "island"}, -1)
-	m, err := Train(db, g, testConfig())
+	m, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestLowSymptomDirection(t *testing.T) {
 		}
 	}
 	g, _ := graph.Build(db, []telemetry.EntityID{"back"}, -1)
-	m, err := Train(db, g, testConfig())
+	m, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,4 +337,29 @@ func TestRankedOrderByAnomalyScore(t *testing.T) {
 			t.Fatal("causes must be sorted by descending anomaly score")
 		}
 	}
+}
+
+// sameDiagnosis requires two diagnoses to certify identical causes: same
+// entities, order, p-values, effects, and scores.
+func sameDiagnosis(t *testing.T, label string, a, b *Diagnosis) {
+	t.Helper()
+	if len(a.Causes) != len(b.Causes) {
+		t.Fatalf("%s: %d causes vs %d", label, len(a.Causes), len(b.Causes))
+	}
+	for i := range a.Causes {
+		x, y := a.Causes[i], b.Causes[i]
+		if x.Entity != y.Entity || x.PValue != y.PValue || x.Effect != y.Effect || x.Score != y.Score {
+			t.Fatalf("%s: cause %d: %q p=%v e=%v vs %q p=%v e=%v",
+				label, i, x.Entity, x.PValue, x.Effect, y.Entity, y.PValue, y.Effect)
+		}
+	}
+}
+
+func chainGraph(t *testing.T, db *telemetry.DB) *graph.Graph {
+	t.Helper()
+	g, err := graph.Build(db, []telemetry.EntityID{"back"}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

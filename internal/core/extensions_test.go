@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"murphy/internal/graph"
 	"murphy/internal/telemetry"
 )
 
-func TestDiagnoseParallelMatchesSequential(t *testing.T) {
+func TestDiagnoseWorkersMatchSerial(t *testing.T) {
 	_, m := trainChain(t)
 	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
 	seq, err := m.Diagnose(sym)
@@ -15,7 +16,7 @@ func TestDiagnoseParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 4} {
-		par, err := m.DiagnoseParallel(sym, workers)
+		par, err := m.DiagnoseContext(context.Background(), sym, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,9 +35,9 @@ func TestDiagnoseParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestDiagnoseParallelErrors(t *testing.T) {
+func TestDiagnoseWorkersErrors(t *testing.T) {
 	_, m := trainChain(t)
-	if _, err := m.DiagnoseParallel(telemetry.Symptom{Entity: "ghost", Metric: "x"}, 2); err == nil {
+	if _, err := m.DiagnoseContext(context.Background(), telemetry.Symptom{Entity: "ghost", Metric: "x"}, 2); err == nil {
 		t.Fatal("unknown symptom should error")
 	}
 }
@@ -109,7 +110,7 @@ func TestRebind(t *testing.T) {
 	}
 	cfg := testConfig()
 	// Train strictly before the incident.
-	m, err := TrainAt(db, g, cfg, 250, nil)
+	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestDiagnoseMaxCandidates(t *testing.T) {
 	g, _ := graph.Build(db, []telemetry.EntityID{"back"}, -1)
 	cfg := testConfig()
 	cfg.MaxCandidates = 1
-	m, err := Train(db, g, cfg)
+	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestDiagnoseTimeout(t *testing.T) {
 	g, _ := graph.Build(db, []telemetry.EntityID{"back"}, -1)
 	cfg := testConfig()
 	cfg.Timeout = 1 // nanosecond: expires immediately
-	m, err := Train(db, g, cfg)
+	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

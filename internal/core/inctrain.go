@@ -141,7 +141,7 @@ type storeEntry struct {
 // shifted Gram matrices, cross-term vectors, running moments, sorted windows
 // — keyed to an explicit training window [lo, hi) and the hyperparameters
 // (TrainWindow, TopB, Lambda) they were built under, and slides them as the
-// window advances instead of letting every Train call recompute
+// window advances instead of letting every TrainOpt call recompute
 // mat.GramCols, the |Pearson| ranking, and the robust statistics from
 // scratch. A factor is served from the slid statistics (a "hit": one O(B³)
 // solve, no O(n·C) passes). When the slid ranking cannot prove the feature
@@ -170,11 +170,13 @@ type storeEntry struct {
 // consistency validation against the restored database, so a murphyd warm
 // restart's first diagnosis performs zero full retrains.
 //
-// Like the FactorCache it supersedes, the store is only consulted on the
-// default-trainer, direct-read path, and it identifies the window by
-// explicit [lo, hi) bounds: a slid window can never alias stale entries.
-// All methods are safe for concurrent use; a training pass holds the store
-// lock, so concurrent Train calls on one store serialize.
+// The store is only consulted on the default-trainer, direct-read path, and
+// it identifies the window by explicit [lo, hi) bounds: a slid window can
+// never alias stale entries, and a repeat at the same window hands back the
+// stored factors unchanged. It is bound to one (database, graph,
+// hyperparameters) triple; training against another resets it (counted in
+// Resets). All methods are safe for concurrent use; a training pass holds
+// the store lock, so concurrent TrainOpt calls on one store serialize.
 type FactorStore struct {
 	mu             sync.Mutex
 	driftThreshold float64

@@ -81,7 +81,7 @@ func compareFactorViews(t *testing.T, label string, want, got *Model, db *teleme
 	}
 }
 
-func fullTrainAt(t *testing.T, db *telemetry.DB, g *graph.Graph, cfg Config, now int) *Model {
+func trainFull(t *testing.T, db *telemetry.DB, g *graph.Graph, cfg Config, now int) *Model {
 	t.Helper()
 	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: now})
 	if err != nil {
@@ -90,7 +90,7 @@ func fullTrainAt(t *testing.T, db *telemetry.DB, g *graph.Graph, cfg Config, now
 	return m
 }
 
-func incTrainAt(t *testing.T, db *telemetry.DB, g *graph.Graph, cfg Config, now int, store *FactorStore) *Model {
+func trainInc(t *testing.T, db *telemetry.DB, g *graph.Graph, cfg Config, now int, store *FactorStore) *Model {
 	t.Helper()
 	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: now, Store: store})
 	if err != nil {
@@ -107,8 +107,8 @@ func TestIncrementalAnchorBitIdentical(t *testing.T) {
 	g := chainGraph(t, db)
 	cfg := testConfig()
 	store := NewFactorStore()
-	inc := incTrainAt(t, db, g, cfg, 260, store)
-	full := fullTrainAt(t, db, g, cfg, 260)
+	inc := trainInc(t, db, g, cfg, 260, store)
+	full := trainFull(t, db, g, cfg, 260)
 	compareFactorViews(t, "anchor", full, inc, db, g, 0)
 	st := store.Stats()
 	if st.Refits != 5 || st.Hits != 0 {
@@ -126,9 +126,9 @@ func TestIncrementalSlideMatchesFull(t *testing.T) {
 	store := NewFactorStore()
 	var inc *Model
 	for now := 250; now < 320; now++ {
-		inc = incTrainAt(t, db, g, cfg, now, store)
+		inc = trainInc(t, db, g, cfg, now, store)
 		if (now-250)%10 == 0 || now == 319 {
-			full := fullTrainAt(t, db, g, cfg, now)
+			full := trainFull(t, db, g, cfg, now)
 			compareFactorViews(t, "slide", full, inc, db, g, incViewTol)
 		}
 	}
@@ -141,7 +141,7 @@ func TestIncrementalSlideMatchesFull(t *testing.T) {
 	}
 
 	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
-	full := fullTrainAt(t, db, g, cfg, 319)
+	full := trainFull(t, db, g, cfg, 319)
 	wantD, err := full.Diagnose(sym)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +167,8 @@ func TestIncrementalRepeatedWindowIsPureHit(t *testing.T) {
 	g := chainGraph(t, db)
 	cfg := testConfig()
 	store := NewFactorStore()
-	m1 := incTrainAt(t, db, g, cfg, 300, store)
-	m2 := incTrainAt(t, db, g, cfg, 300, store)
+	m1 := trainInc(t, db, g, cfg, 300, store)
+	m2 := trainInc(t, db, g, cfg, 300, store)
 	st := store.Stats()
 	if st.Hits != 5 || st.Refits != 5 {
 		t.Fatalf("expected 5 anchor refits + 5 pure hits: %+v", st)
@@ -227,13 +227,13 @@ func TestIncrementalDriftTrip(t *testing.T) {
 	store.SetPolicy(2.0, 1<<30) // sensitive drift, no scheduled refresh
 	var inc *Model
 	for now := 249; now < 400; now++ {
-		inc = incTrainAt(t, db, g, cfg, now, store)
+		inc = trainInc(t, db, g, cfg, now, store)
 	}
 	st := store.Stats()
 	if st.DriftTrips == 0 {
 		t.Fatalf("relationship flip should trip the drift guard: %+v", st)
 	}
-	full := fullTrainAt(t, db, g, cfg, 399)
+	full := trainFull(t, db, g, cfg, 399)
 	compareFactorViews(t, "post-flip", full, inc, db, g, incViewTol)
 }
 
@@ -254,13 +254,13 @@ func TestIncrementalRecenter(t *testing.T) {
 	store.SetPolicy(1e9, 1<<30) // isolate the recenter machinery: no drift/refresh refits
 	var inc *Model
 	for now := 249; now < 420; now++ {
-		inc = incTrainAt(t, db, g, cfg, now, store)
+		inc = trainInc(t, db, g, cfg, now, store)
 	}
 	st := store.Stats()
 	if st.Hits == 0 {
 		t.Fatalf("recenter test should stay on the incremental path: %+v", st)
 	}
-	full := fullTrainAt(t, db, g, cfg, 419)
+	full := trainFull(t, db, g, cfg, 419)
 	compareFactorViews(t, "recenter", full, inc, db, g, incViewTol)
 }
 
@@ -275,9 +275,9 @@ func TestIncrementalDegenerateSeries(t *testing.T) {
 	store := NewFactorStore()
 	var inc *Model
 	for now := 249; now < 300; now++ {
-		inc = incTrainAt(t, db, g, cfg, now, store)
+		inc = trainInc(t, db, g, cfg, now, store)
 	}
-	full := fullTrainAt(t, db, g, cfg, 299)
+	full := trainFull(t, db, g, cfg, 299)
 	compareFactorViews(t, "degenerate", full, inc, db, g, incViewTol)
 	if v, ok := inc.FactorView("b", telemetry.MetricCPU); !ok || len(v.Features) != 0 {
 		t.Fatalf("constant target should select no features: %+v", v)
@@ -328,9 +328,9 @@ func TestIncrementalDirtySeries(t *testing.T) {
 	store := NewFactorStore()
 	var inc *Model
 	for now := 280; now < 340; now++ {
-		inc = incTrainAt(t, rngDB, g, cfg, now, store)
+		inc = trainInc(t, rngDB, g, cfg, now, store)
 		if (now-280)%15 == 0 || now == 339 {
-			full := fullTrainAt(t, rngDB, g, cfg, now)
+			full := trainFull(t, rngDB, g, cfg, now)
 			compareFactorViews(t, "dirty", full, inc, rngDB, g, incViewTol)
 			// The dirty-target factor must be bit-identical: it refits
 			// through trainAt's exact path while any NaN is in-window.
@@ -356,7 +356,7 @@ func TestFactorStoreSnapshotRoundTrip(t *testing.T) {
 	store := NewFactorStore()
 	var m1 *Model
 	for now := 280; now <= 300; now++ {
-		m1 = incTrainAt(t, db, g, cfg, now, store)
+		m1 = trainInc(t, db, g, cfg, now, store)
 	}
 	path := filepath.Join(t.TempDir(), "factors.json")
 	if err := store.SaveFile(path); err != nil {
@@ -367,7 +367,7 @@ func TestFactorStoreSnapshotRoundTrip(t *testing.T) {
 	if err := warm.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	m2 := incTrainAt(t, db, g, cfg, 300, warm)
+	m2 := trainInc(t, db, g, cfg, 300, warm)
 	st := warm.Stats()
 	if st.Refits != 0 {
 		t.Fatalf("warm restart must not retrain: %+v", st)
@@ -380,9 +380,9 @@ func TestFactorStoreSnapshotRoundTrip(t *testing.T) {
 	// The restored statistics must keep sliding correctly.
 	var inc *Model
 	for now := 301; now < 340; now++ {
-		inc = incTrainAt(t, db, g, cfg, now, warm)
+		inc = trainInc(t, db, g, cfg, now, warm)
 	}
-	full := fullTrainAt(t, db, g, cfg, 339)
+	full := trainFull(t, db, g, cfg, 339)
 	compareFactorViews(t, "warm-slide", full, inc, db, g, incViewTol)
 }
 
@@ -395,7 +395,7 @@ func TestFactorStoreSnapshotMismatchDiscarded(t *testing.T) {
 	g := chainGraph(t, db)
 	cfg := testConfig()
 	store := NewFactorStore()
-	incTrainAt(t, db, g, cfg, 300, store)
+	trainInc(t, db, g, cfg, 300, store)
 	snap, err := store.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -408,11 +408,11 @@ func TestFactorStoreSnapshotMismatchDiscarded(t *testing.T) {
 	if err := cold.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	inc := incTrainAt(t, db, g, other, 300, cold)
+	inc := trainInc(t, db, g, other, 300, cold)
 	if st := cold.Stats(); st.Refits != 5 || st.Hits != 0 {
 		t.Fatalf("mismatched snapshot must be discarded: %+v", st)
 	}
-	full := fullTrainAt(t, db, g, other, 300)
+	full := trainFull(t, db, g, other, 300)
 	compareFactorViews(t, "discard", full, inc, db, g, 0)
 
 	// Different data (another seed): window fingerprints cannot match.
@@ -422,59 +422,11 @@ func TestFactorStoreSnapshotMismatchDiscarded(t *testing.T) {
 	if err := cold2.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	inc2 := incTrainAt(t, db2, g2, cfg, 300, cold2)
+	inc2 := trainInc(t, db2, g2, cfg, 300, cold2)
 	if st := cold2.Stats(); st.Refits != 5 {
 		t.Fatalf("foreign-data snapshot must be discarded: %+v", st)
 	}
-	compareFactorViews(t, "discard-data", fullTrainAt(t, db2, g2, cfg, 300), inc2, db2, g2, 0)
-}
-
-// TestFactorCacheWindowBoundsInvalidate is the sliding-window regression
-// test for the cache keying: the key carries the explicit [lo, hi) training
-// window, so sliding by a single point must miss every entry (a stale
-// factor served across windows was the failure mode this guards).
-func TestFactorCacheWindowBoundsInvalidate(t *testing.T) {
-	db := chainDB(t, 320, 5, 42)
-	g := chainGraph(t, db)
-	cfg := testConfig()
-	cache := NewFactorCache(0)
-	if _, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: 300, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if st.Misses != 5 || st.Hits != 0 {
-		t.Fatalf("first train: %+v", st)
-	}
-	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: 301, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = cache.Stats()
-	if st.Hits != 0 || st.Misses != 10 {
-		t.Fatalf("one-point slide must invalidate every cache key: %+v", st)
-	}
-	compareFactorViews(t, "cache-slide", fullTrainAt(t, db, g, cfg, 301), m, db, g, 0)
-}
-
-// TestStoreSupersedesCache: when both reuse mechanisms are configured the
-// store takes over and the cache must stay untouched.
-func TestStoreSupersedesCache(t *testing.T) {
-	db := chainDB(t, 320, 5, 42)
-	g := chainGraph(t, db)
-	cfg := testConfig()
-	cache := NewFactorCache(0)
-	store := NewFactorStore()
-	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: 300, Cache: cache, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("cache must be bypassed when the store is set: %+v", st)
-	}
-	if st := store.Stats(); st.Refits != 5 {
-		t.Fatalf("store should have anchored: %+v", st)
-	}
-	compareFactorViews(t, "supersede", fullTrainAt(t, db, g, cfg, 300), m, db, g, 0)
+	compareFactorViews(t, "discard-data", trainFull(t, db2, g2, cfg, 300), inc2, db2, g2, 0)
 }
 
 // TestIncrementalWorkersBitIdentical: the pooled factor phase must produce
@@ -511,11 +463,11 @@ func TestIncrementalFarJumpResets(t *testing.T) {
 	g := chainGraph(t, db)
 	cfg := testConfig()
 	store := NewFactorStore()
-	incTrainAt(t, db, g, cfg, 220, store)
-	m := incTrainAt(t, db, g, cfg, 339, store) // jump of 119 > 200/2
+	trainInc(t, db, g, cfg, 220, store)
+	m := trainInc(t, db, g, cfg, 339, store) // jump of 119 > 200/2
 	st := store.Stats()
 	if st.Resets == 0 {
 		t.Fatalf("far jump should reset: %+v", st)
 	}
-	compareFactorViews(t, "jump", fullTrainAt(t, db, g, cfg, 339), m, db, g, 0)
+	compareFactorViews(t, "jump", trainFull(t, db, g, cfg, 339), m, db, g, 0)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"murphy/internal/obs"
@@ -30,7 +31,7 @@ type RootCause struct {
 	Path []telemetry.EntityID
 	// SamplesUsed is the total number of Monte-Carlo draws the verdict
 	// consumed across the factual and counterfactual runs. Without early
-	// stopping it is 2×cfg.Samples; with cfg.EarlyStop it shows how much of
+	// stopping it is 2×cfg.Samples; with Sampler.EarlyStop it shows how much of
 	// the budget the sequential test actually needed.
 	SamplesUsed int
 	// Degraded marks an anomaly-score-only fallback verdict: the candidate's
@@ -84,14 +85,21 @@ func (d *Diagnosis) Ranked() []telemetry.EntityID {
 // Diagnose runs the full inference of §4.2 for one symptom: prune the
 // candidate search space, evaluate every candidate with the counterfactual
 // resampling algorithm, keep the significant ones, and rank them by anomaly
-// score. It is DiagnoseContext with a background context (cfg.Timeout, when
-// set, still bounds the call).
+// score. It is DiagnoseContext with a background context and one worker
+// (cfg.Timeout, when set, still bounds the call).
 func (m *Model) Diagnose(symptom telemetry.Symptom) (*Diagnosis, error) {
-	return m.DiagnoseContext(context.Background(), symptom)
+	return m.DiagnoseContext(context.Background(), symptom, 1)
 }
 
-// DiagnoseContext is Diagnose under cooperative cancellation. The deadline
-// semantics implement graceful degradation rather than all-or-nothing:
+// DiagnoseContext is Diagnose under cooperative cancellation, with the
+// candidate evaluations fanned out over up to `workers` goroutines — the
+// parallelism optimization §6.7 suggests. workers <= 1 evaluates the
+// candidates inline, with no goroutines. Each candidate's outcome lands in
+// its own slot and its sampler is independently seeded, so the Diagnosis is
+// identical at every worker count; only wall time changes.
+//
+// The deadline semantics implement graceful degradation rather than
+// all-or-nothing:
 //
 //   - An expired deadline (the context's, or cfg.Timeout) stops evaluating
 //     further candidates and returns a *partial* Diagnosis — the causes
@@ -106,7 +114,10 @@ func (m *Model) Diagnose(symptom telemetry.Symptom) (*Diagnosis, error) {
 // A candidate evaluation that panics (a poisoned factor, a bug in a custom
 // trainer) is recovered, recorded in Skipped, and degraded like a timeout,
 // so one bad candidate cannot take down a diagnosis.
-func (m *Model) DiagnoseContext(ctx context.Context, symptom telemetry.Symptom) (*Diagnosis, error) {
+//
+// Progress events report done/total once per candidate, skipped ones
+// included, so the stream always reaches total.
+func (m *Model) DiagnoseContext(ctx context.Context, symptom telemetry.Symptom, workers int) (*Diagnosis, error) {
 	if err := m.checkSymptom(symptom); err != nil {
 		return nil, err
 	}
@@ -124,27 +135,58 @@ func (m *Model) DiagnoseContext(ctx context.Context, symptom telemetry.Symptom) 
 	candidates := append(m.Candidates(symptom.Entity), symptom.Entity)
 	sp.End()
 	m.obs.Add(obs.CtrCandidatesPruned, int64(m.g.Len()-len(candidates)))
-	d := &Diagnosis{Symptom: symptom, Candidates: candidates}
+	// Each candidate's outcome lands in its own slot, so assembly below is
+	// deterministic regardless of worker interleaving. A slot left empty
+	// means the context ended before the candidate's turn. StageTest is one
+	// span over the whole fan-out (per-span CPU deltas of overlapping spans
+	// would double-count process CPU).
+	type outcome struct {
+		done  bool
+		cause *RootCause
+		skip  string // non-empty: skipped with this reason
+	}
+	results := make([]outcome, len(candidates))
+	var done atomic.Int64
+	progress := func(cand telemetry.EntityID) {
+		m.obs.Progress(obs.StageTest, int(done.Add(1)), len(candidates), string(cand))
+	}
 	sp = m.obs.StartStage(obs.StageTest)
-	for i, cand := range candidates {
-		if err := ctx.Err(); err != nil {
-			m.recordSkip(d, cand, skipReason(err))
-			continue
-		}
+	// The pool's only error is the context's, which the empty slots record.
+	_ = forEachIndex(ctx, workers, len(candidates), func(i int) error {
+		cand := candidates[i]
 		verdict, ok, err := m.evaluateCandidateSafe(ctx, cand, symptom)
-		if err != nil {
-			m.recordSkip(d, cand, evalFailReason(err))
-			continue
+		switch {
+		case err != nil:
+			results[i] = outcome{done: true, skip: evalFailReason(err)}
+		case ok:
+			m.obs.Add(obs.CtrCandidatesTested, 1)
+			results[i] = outcome{done: true, cause: &verdict}
+		default:
+			m.obs.Add(obs.CtrCandidatesTested, 1)
+			results[i] = outcome{done: true}
 		}
-		m.obs.Add(obs.CtrCandidatesTested, 1)
-		if ok {
-			m.obs.Add(obs.CtrCausesCertified, 1)
-			d.Causes = append(d.Causes, verdict)
+		progress(cand)
+		return nil
+	})
+	for i := range results {
+		if !results[i].done {
+			results[i] = outcome{done: true, skip: skipReason(ctx.Err())}
+			progress(candidates[i])
 		}
-		m.obs.Progress(obs.StageTest, i+1, len(candidates), string(cand))
 	}
 	sp.End()
+
+	d := &Diagnosis{Symptom: symptom, Candidates: candidates}
 	sp = m.obs.StartStage(obs.StageRank)
+	for i, r := range results {
+		switch {
+		case r.skip != "":
+			m.recordSkip(d, candidates[i], r.skip)
+		case r.cause != nil:
+			m.obs.Add(obs.CtrCausesCertified, 1)
+			d.Causes = append(d.Causes, *r.cause)
+		}
+	}
 	finishDiagnosis(d, start)
 	sp.End()
 	if errors.Is(ctx.Err(), context.Canceled) {
@@ -327,13 +369,13 @@ const (
 // sequential, one chain or many — with the mode differences reduced to seed
 // derivation, budget partitioning, and when the verdict is examined:
 //
-//   - Fixed budget (cfg.EarlyStop off): every chain draws its whole quota
+//   - Fixed budget (Sampler.EarlyStop off): every chain draws its whole quota
 //     counterfactual-then-factual from one stream into its owned segment of
 //     the merged draw vectors, then one batch Welch t-test runs on the
 //     merge. A single chain reproduces the original sequential sampler's
 //     stream bit-for-bit (one pairSeed stream, CF then F).
 //
-//   - Sequential (cfg.EarlyStop on): each chain owns two independent
+//   - Sequential (Sampler.EarlyStop on): each chain owns two independent
 //     streams (counterfactual and factual, so neither run's draws depend on
 //     where the other stopped) and draws in earlyStopBatch-sized rounds;
 //     batches merge into the streaming Welch state in chain order, and the
@@ -362,7 +404,7 @@ const (
 func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, plan *pathPlan, ov *overrides, alt stats.Alternative, ar *arena, effScale float64) (stats.TTestResult, float64, int, error) {
 	n := m.cfg.Samples
 	base := m.pairSeed(a, d)
-	multi := m.cfg.Chains > 1
+	multi := m.cfg.Sampler.Chains > 1
 	k := 1
 	if multi {
 		k = m.chainCount(n)
@@ -375,7 +417,7 @@ func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, pl
 		return base
 	}
 
-	if !m.cfg.EarlyStop {
+	if !m.cfg.Sampler.EarlyStop {
 		d1 := ar.draws1(n) // counterfactual draws
 		d2 := ar.draws2(n) // factual draws
 		err := m.runChains(ctx, k, ar, func(c int, car *arena) error {
@@ -422,7 +464,7 @@ func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, pl
 			quota: hi - lo,
 		}
 	}
-	zConf := stats.NormalQuantile(m.cfg.EarlyStopConfidence)
+	zConf := stats.NormalQuantile(m.cfg.Sampler.EarlyStopConfidence)
 	var st stats.StreamingWelch
 	minDraws := earlyStopMinSamples
 	if minDraws > n {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestPredictUnderInterventionUnreachable(t *testing.T) {
 		}
 	}
 	g, _ := graph.Build(db, []telemetry.EntityID{"back", "island"}, -1)
-	m, err := Train(db, g, testConfig())
+	m, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

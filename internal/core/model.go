@@ -99,7 +99,7 @@ type Model struct {
 	// Rebind copies — the graph is immutable after Build.
 	paths *graph.SubgraphCache
 	// arenas pools the Gibbs resampler's scratch buffers across candidate
-	// evaluations and DiagnoseParallel workers.
+	// evaluations and diagnosis workers.
 	arenas *arenaPool
 	// kern holds the sampling kernel's compiled artifacts — the metricRef →
 	// slot table and the per-(candidate, symptom) execution plan cache.
@@ -140,40 +140,9 @@ func (m *Model) SetEvalHook(h func(telemetry.EntityID)) { m.evalHook = h }
 // Not safe to call concurrently with a running diagnosis.
 func (m *Model) SetRecorder(rec *obs.Recorder) { m.obs = rec }
 
-// Train fits the MRF on the database restricted to the relationship graph,
-// using the cfg.TrainWindow trailing slices ending at the database's last
-// slice. Murphy never keeps pre-trained models: this runs on every
-// diagnosis call so the window includes in-incident points.
-func Train(db *telemetry.DB, g *graph.Graph, cfg Config) (*Model, error) {
-	return TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1})
-}
-
-// TrainContext is Train with cooperative cancellation: training aborts with
-// the context's error as soon as the context is done.
-func TrainContext(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config) (*Model, error) {
-	return TrainOpt(ctx, db, g, cfg, TrainOpts{Now: -1})
-}
-
-// TrainSource is TrainContext with the training-window reads routed through
-// src — typically a resilience.Source (retries + circuit breaker) over a
-// chaos injector or a remote collector. A read that still fails after the
-// source's own resilience does not fail training: the series degrades to
-// missing data (the §4.2 placeholder rule) and the failure is recorded on
-// the model (ReadFailures). db remains the handle used for Rebind and
-// explanation lookups.
-func TrainSource(ctx context.Context, db *telemetry.DB, src telemetry.Source, g *graph.Graph, cfg Config) (*Model, error) {
-	return TrainOpt(ctx, db, g, cfg, TrainOpts{Now: -1, Src: src})
-}
-
-// TrainAt fits the MRF with the training window ending at slice `now`
-// (inclusive). A nil trainer uses ridge regression with cfg.Lambda — the
-// paper's production choice; the Fig 8a comparison passes other trainers.
-func TrainAt(db *telemetry.DB, g *graph.Graph, cfg Config, now int, trainer regress.Trainer) (*Model, error) {
-	return trainAt(context.Background(), db, g, cfg, TrainOpts{Now: now, Trainer: trainer})
-}
-
-// TrainOpts collects the optional knobs of a training pass; the zero value
-// (with Now set) reproduces TrainContext.
+// TrainOpts collects the optional knobs of a training pass. The zero value
+// with Now set to -1 trains on the trailing window of the whole database,
+// reading it directly with the default ridge trainer.
 type TrainOpts struct {
 	// Src interposes the resilient/faulty read path on the training-window
 	// reads; nil reads the database directly (infallible).
@@ -184,15 +153,12 @@ type TrainOpts struct {
 	// Trainer overrides the per-factor regression model; nil uses ridge with
 	// cfg.Lambda (the paper's production choice).
 	Trainer regress.Trainer
-	// Cache, when non-nil, reuses trained factors across Train calls (see
-	// FactorCache). It is consulted only on the default-trainer, direct-read
+	// Store, when non-nil, reuses training work across calls: a repeat at
+	// the same window hands back the stored factors unchanged, and a slid
+	// window updates per-(entity, window, hyperparameters) sufficient
+	// statistics instead of recomputing every factor from scratch (see
+	// FactorStore). It is consulted only on the default-trainer, direct-read
 	// path; a custom Trainer or an interposed Src trains from scratch.
-	Cache *FactorCache
-	// Store, when non-nil, amortizes training across Train calls by sliding
-	// per-(entity, window, hyperparameters) sufficient statistics instead of
-	// recomputing every factor from scratch (see FactorStore). Like Cache it
-	// is only consulted on the default-trainer, direct-read path, and when
-	// both are set the store takes over (it subsumes whole-window reuse).
 	Store *FactorStore
 	// Obs receives pipeline instrumentation for this model (training spans
 	// and counters now, inference spans on every later Diagnose call). Nil
@@ -205,9 +171,20 @@ type TrainOpts struct {
 	Workers int
 }
 
-// TrainOpt is the general training entry point: TrainContext plus the
-// optional knobs of TrainOpts (interposed source, window endpoint, custom
-// trainer, shared factor cache).
+// TrainOpt is the training entry point: it fits the MRF on the database
+// restricted to the relationship graph, using the cfg.TrainWindow trailing
+// slices ending at opts.Now (a negative Now means the database's last slice).
+// Murphy never keeps pre-trained models: this runs on every diagnosis so the
+// window includes in-incident points. Training aborts with the context's
+// error as soon as the context is done. The optional knobs of TrainOpts
+// interpose a read path, swap the regression trainer, reuse work through a
+// FactorStore, and fan the fits out over a worker pool.
+//
+// With opts.Src set, a read that still fails after the source's own
+// resilience does not fail training: the series degrades to missing data
+// (the §4.2 placeholder rule) and the failure is recorded on the model
+// (ReadFailures). db remains the handle used for Rebind and explanation
+// lookups.
 func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, opts TrainOpts) (*Model, error) {
 	if opts.Now < 0 {
 		opts.Now = db.Len() - 1
@@ -221,14 +198,6 @@ func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config,
 func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, opts TrainOpts) (*Model, error) {
 	src, trainer := opts.Src, opts.Trainer
 	now := opts.Now
-	// The cache stores complete trained factors; it is only sound when the
-	// factor is a pure function of the cache key, which requires the default
-	// (deterministic, stateless) trainer and the direct (infallible)
-	// database read path.
-	cache := opts.Cache
-	if trainer != nil || src != nil {
-		cache = nil
-	}
 	rec := opts.Obs
 	if rec == nil {
 		rec = obs.Global()
@@ -281,9 +250,8 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		return nil, fmt.Errorf("core: training window too short (%d slices)", n)
 	}
 
-	// The incremental store, like the cache, is only sound on the default
-	// (deterministic, stateless) trainer and the direct (infallible) read
-	// path. When it is in play, the incremental pass replaces the whole
+	// The incremental store is only sound on the default (deterministic,
+	// stateless) trainer and the direct (infallible) read path. When it is in play, the incremental pass replaces the whole
 	// from-scratch pipeline below.
 	if store := opts.Store; store != nil && opts.Trainer == nil && src == nil {
 		if err := store.train(ctx, m, opts, rec); err != nil {
@@ -386,10 +354,7 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		m.current[p.ref] = p.col[len(p.col)-1]
 	}
 
-	// Fit one factor per (entity, metric), consulting the factor cache when
-	// one is in play: a hit hands back the immutable trained factor and
-	// skips the correlation ranking, robust statistics, and the ridge fit.
-	// Jobs are assembled in graph order and each writes only its own slot,
+	// Fit one factor per (entity, metric). Jobs are assembled in graph order and each writes only its own slot,
 	// so the trained model is bit-identical whatever the pool size; the
 	// candidate list and its ranking tie-break keys are built once per
 	// entity (the tie-break used to call ref.String() inside the sort
@@ -399,20 +364,13 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		cand     []metricRef // shared across the entity's jobs
 		candKeys []string    // cand[i].String(), precomputed
 		candCtr  []*stats.Centered
-		ckey     factorCacheKey
-		useCache bool
 		out      *factor
 	}
 	var jobs []*fitJob
 	for _, id := range g.IDs() {
-		inIDs := g.InIDs(id)
-		var nbrHash uint64
-		if cache != nil {
-			nbrHash = neighborhoodHash(inIDs)
-		}
 		// Collect all candidate neighbor metric refs.
 		var cand []metricRef
-		for _, nb := range inIDs {
+		for _, nb := range g.InIDs(id) {
 			for _, name := range m.metricsOf[nb] {
 				cand = append(cand, metricRef{nb, name})
 			}
@@ -424,32 +382,15 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 			candCtr[i] = centered[c]
 		}
 		for _, name := range m.metricsOf[id] {
-			job := &fitJob{
+			jobs = append(jobs, &fitJob{
 				ref:  metricRef{id, name},
 				cand: cand, candKeys: candKeys, candCtr: candCtr,
-			}
-			if cache != nil {
-				job.useCache = true
-				job.ckey = factorCacheKey{
-					db: db, entity: id, metric: name,
-					lo: m.trainLo, hi: m.trainHi,
-					topB: cfg.TopB, lambda: cfg.Lambda, nbrHash: nbrHash,
-				}
-			}
-			jobs = append(jobs, job)
+			})
 		}
 	}
 	pooled := workers > 1 && len(jobs) > 1
 	if err := forEachIndex(ctx, workers, len(jobs), func(jid int) error {
 		job := jobs[jid]
-		if job.useCache {
-			if f, ok := cache.get(job.ckey); ok {
-				rec.Add(obs.CtrFactorCacheHits, 1)
-				job.out = f
-				return nil
-			}
-			rec.Add(obs.CtrFactorCacheMisses, 1)
-		}
 		ref := job.ref
 		y := windows[ref]
 		yctr := centered[ref]
@@ -531,9 +472,6 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		rec.Add(obs.CtrFactorsTrained, 1)
 		if pooled {
 			rec.Add(obs.CtrTrainParallelFits, 1)
-		}
-		if job.useCache {
-			cache.put(job.ckey, f)
 		}
 		return nil
 	}); err != nil {

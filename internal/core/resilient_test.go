@@ -9,12 +9,13 @@ import (
 	"time"
 
 	"murphy/internal/graph"
+	"murphy/internal/obs"
 	"murphy/internal/telemetry"
 )
 
 // TestDiagnosePanickingCandidate is the regression test for the worker-pool
 // deadlock: a panicking candidate evaluation used to kill the worker
-// goroutine before wg.Done, hanging every DiagnoseParallel caller. The
+// goroutine before wg.Done, hanging every parallel diagnosis. The
 // panic must instead become a recorded skip while the rest of the diagnosis
 // completes.
 func TestDiagnosePanickingCandidate(t *testing.T) {
@@ -34,7 +35,7 @@ func TestDiagnosePanickingCandidate(t *testing.T) {
 			go func() {
 				defer close(done)
 				if mode == "parallel" {
-					diag, err = m.DiagnoseParallel(sym, 4)
+					diag, err = m.DiagnoseContext(context.Background(), sym, 4)
 				} else {
 					diag, err = m.Diagnose(sym)
 				}
@@ -88,7 +89,7 @@ func TestDiagnoseContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	diag, err := m.DiagnoseContext(ctx, telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true})
+	diag, err := m.DiagnoseContext(ctx, telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -99,7 +100,7 @@ func TestDiagnoseContextCancelled(t *testing.T) {
 		t.Fatal("cancellation should still hand back the partial diagnosis")
 	}
 	// Parallel path: same contract.
-	if _, err := m.DiagnoseParallelContext(ctx, telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}, 3); !errors.Is(err, context.Canceled) {
+	if _, err := m.DiagnoseContext(ctx, telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel err = %v, want wrapped context.Canceled", err)
 	}
 }
@@ -115,7 +116,7 @@ func TestDiagnoseContextDeadlinePartial(t *testing.T) {
 	cfg := testConfig()
 	cfg.Samples = 60000
 	cfg.GibbsRounds = 8
-	m, err := Train(db, g, cfg)
+	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestDiagnoseContextDeadlinePartial(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	diag, err := m.DiagnoseContext(ctx, sym)
+	diag, err := m.DiagnoseContext(ctx, sym, 1)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("an expired deadline must degrade, not error: %v", err)
@@ -154,7 +155,7 @@ func TestDiagnoseContextDeadlinePartial(t *testing.T) {
 	}
 }
 
-func TestTrainContextCancelled(t *testing.T) {
+func TestTrainOptCancelled(t *testing.T) {
 	db := chainDB(t, 220, 5, 34)
 	g, err := graph.Build(db, []telemetry.EntityID{"back"}, -1)
 	if err != nil {
@@ -162,7 +163,7 @@ func TestTrainContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := TrainContext(ctx, db, g, testConfig()); !errors.Is(err, context.Canceled) {
+	if _, err := TrainOpt(ctx, db, g, testConfig(), TrainOpts{Now: -1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }
@@ -183,14 +184,14 @@ func (b *brokenSource) ReadRawWindow(ctx context.Context, id telemetry.EntityID,
 	return b.db.ReadRawWindow(ctx, id, metric, lo, hi)
 }
 
-func TestTrainSourceDegradesFailedReads(t *testing.T) {
+func TestTrainOptSrcDegradesFailedReads(t *testing.T) {
 	db := chainDB(t, 220, 5, 35)
 	g, err := graph.Build(db, []telemetry.EntityID{"back"}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := &brokenSource{db: db, broken: "decoy"}
-	m, err := TrainSource(context.Background(), db, src, g, testConfig())
+	m, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1, Src: src})
 	if err != nil {
 		t.Fatalf("unreadable series must degrade, not fail training: %v", err)
 	}
@@ -220,17 +221,17 @@ func TestTrainSourceDegradesFailedReads(t *testing.T) {
 	}
 }
 
-func TestTrainSourceMatchesDirectTraining(t *testing.T) {
+func TestTrainOptSrcMatchesDirectTraining(t *testing.T) {
 	db := chainDB(t, 220, 5, 36)
 	g, err := graph.Build(db, []telemetry.EntityID{"back"}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Train(db, g, testConfig())
+	direct, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSrc, err := TrainSource(context.Background(), db, db, g, testConfig())
+	viaSrc, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1, Src: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestParallelPartialMatchesSequentialCertified(t *testing.T) {
 		var d *Diagnosis
 		var err error
 		if parallel {
-			d, err = m.DiagnoseParallel(sym, 4)
+			d, err = m.DiagnoseContext(context.Background(), sym, 4)
 		} else {
 			d, err = m.Diagnose(sym)
 		}
@@ -287,5 +288,75 @@ func TestParallelPartialMatchesSequentialCertified(t *testing.T) {
 	}
 	if len(seq.Skipped) != 1 || len(par.Skipped) != 1 {
 		t.Fatalf("skips: seq=%v par=%v", seq.Skipped, par.Skipped)
+	}
+}
+
+// progressLog records the StageTest progress stream of one diagnosis.
+type progressLog struct {
+	done, total []int
+}
+
+func (p *progressLog) StageStart(obs.Stage)                             {}
+func (p *progressLog) StageEnd(obs.Stage, time.Duration, time.Duration) {}
+func (p *progressLog) Progress(st obs.Stage, done, total int, _ string) {
+	if st == obs.StageTest {
+		p.done = append(p.done, done)
+		p.total = append(p.total, total)
+	}
+}
+
+// TestDiagnoseProgressPerCandidate: the diagnosis loop reports one progress
+// event per candidate, skipped ones included, so the stream reaches total
+// even when the deadline has expired — and inline and pooled runs agree on
+// both the events and the Diagnosis.
+func TestDiagnoseProgressPerCandidate(t *testing.T) {
+	_, m := trainChain(t)
+	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
+	run := func(workers int) (*Diagnosis, *progressLog) {
+		log := &progressLog{}
+		rec := obs.New()
+		rec.Enable()
+		rec.Attach(log)
+		m.SetRecorder(rec)
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		defer cancel()
+		d, err := m.DiagnoseContext(ctx, sym, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: an expired deadline must degrade, not error: %v", workers, err)
+		}
+		return d, log
+	}
+	inline, inLog := run(1)
+	pooled, poolLog := run(4)
+	n := len(inline.Candidates)
+	for _, c := range []struct {
+		label string
+		d     *Diagnosis
+		log   *progressLog
+	}{{"inline", inline, inLog}, {"pooled", pooled, poolLog}} {
+		if !c.d.Partial || len(c.d.Skipped) != n {
+			t.Fatalf("%s: every candidate should be skipped: %+v", c.label, c.d.Skipped)
+		}
+		if len(c.log.done) != n {
+			t.Fatalf("%s: %d progress events for %d candidates", c.label, len(c.log.done), n)
+		}
+		for i := range c.log.done {
+			if c.log.done[i] != i+1 || c.log.total[i] != n {
+				t.Fatalf("%s: event %d reports %d/%d, want %d/%d", c.label, i, c.log.done[i], c.log.total[i], i+1, n)
+			}
+		}
+	}
+	sameDiagnosis(t, "inline vs pooled", inline, pooled)
+	if fmt.Sprint(inline.Candidates) != fmt.Sprint(pooled.Candidates) || fmt.Sprint(inline.Skipped) != fmt.Sprint(pooled.Skipped) {
+		t.Fatalf("skips differ: %v vs %v", inline.Skipped, pooled.Skipped)
+	}
+	if len(inline.Degraded) != len(pooled.Degraded) {
+		t.Fatalf("degraded counts differ: %d vs %d", len(inline.Degraded), len(pooled.Degraded))
+	}
+	for i := range inline.Degraded {
+		a, b := inline.Degraded[i], pooled.Degraded[i]
+		if a.Entity != b.Entity || a.Score != b.Score || a.Reason != b.Reason {
+			t.Fatalf("degraded rank %d differs: %+v vs %+v", i, a, b)
+		}
 	}
 }

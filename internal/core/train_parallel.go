@@ -7,8 +7,8 @@ import (
 )
 
 // forEachIndex runs fn(i) for every i in [0, n), fanning the calls across up
-// to `workers` goroutines. It is the training pass's pool primitive, built so
-// parallelism can never change results:
+// to `workers` goroutines. It is the pool primitive of the training pass and
+// the diagnosis loop, built so parallelism can never change results:
 //
 //   - workers <= 1 (or n <= 1) degrades to the plain inline loop — no
 //     goroutines, no channels — so single-threaded configurations pay zero

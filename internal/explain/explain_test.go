@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -65,7 +66,7 @@ func crawlerDB(t *testing.T) (*telemetry.DB, *graph.Graph, *core.Model) {
 	cfg := core.DefaultConfig()
 	cfg.Samples = 200
 	cfg.TrainWindow = 120
-	m, err := core.Train(db, g, cfg)
+	m, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -79,7 +80,7 @@ func RunFig7(opts Fig7Options) (*Fig7Result, error) {
 			if offline {
 				// Train strictly before the incident window; diagnose the
 				// in-incident state by re-binding the model's endpoint.
-				model, err = core.TrainAt(db, g, cfg, sc.FaultStart-1, nil)
+				model, err = core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: sc.FaultStart - 1})
 				if err != nil {
 					return 0, err
 				}
@@ -88,7 +89,7 @@ func RunFig7(opts Fig7Options) (*Fig7Result, error) {
 					return 0, err
 				}
 			} else {
-				model, err = core.Train(db, g, cfg)
+				model, err = core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1})
 				if err != nil {
 					return 0, err
 				}

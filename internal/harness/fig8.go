@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -252,7 +253,7 @@ func RunFig8b(opts Fig8bOptions) (*Fig8bResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		model, err := core.Train(db, g, cfg)
+		model, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1})
 		if err != nil {
 			return nil, err
 		}

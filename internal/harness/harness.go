@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -51,7 +52,7 @@ func schemeRankings(sc *microsim.Scenario, cfg core.Config) (map[string][]teleme
 	if err != nil {
 		return nil, fmt.Errorf("harness: build graph: %w", err)
 	}
-	model, err := core.Train(db, g, cfg)
+	model, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1})
 	if err != nil {
 		return nil, fmt.Errorf("harness: train murphy: %w", err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -96,7 +97,7 @@ func RunTable1(opts Table1Options) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		model, err := core.Train(db, g, cfg)
+		model, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1})
 		if err != nil {
 			return nil, err
 		}

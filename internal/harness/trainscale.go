@@ -25,7 +25,7 @@ type TrainScaleOptions struct {
 	// Samples / TrainWindow configure Murphy.
 	Samples, TrainWindow int
 	// Workers are the worker counts to sweep; each point runs the training
-	// pool, the DiagnoseParallel fan-out, and GOMAXPROCS at that count.
+	// pool, the parallel diagnosis fan-out, and GOMAXPROCS at that count.
 	Workers []int
 	// Chains are the Gibbs chain counts to sweep (at the largest worker
 	// count): each counterfactual test's draws split across this many
@@ -133,7 +133,7 @@ func RunTrainScale(opts TrainScaleOptions) (*TrainScaleResult, error) {
 		var diags []*core.Diagnosis
 		for _, sc := range scs {
 			cfg := murphyConfig(opts.Samples, opts.TrainWindow)
-			cfg.Chains = chains
+			cfg.Sampler.Chains = chains
 			t0 := time.Now()
 			model, err := core.TrainOpt(context.Background(), sc.db, sc.g, cfg,
 				core.TrainOpts{Now: -1, Workers: workers, Obs: rec})
@@ -142,7 +142,7 @@ func RunTrainScale(opts TrainScaleOptions) (*TrainScaleResult, error) {
 			}
 			p.TrainTime += time.Since(t0)
 			t0 = time.Now()
-			diag, err := model.DiagnoseParallel(sc.sym, workers)
+			diag, err := model.DiagnoseContext(context.Background(), sc.sym, workers)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -14,9 +14,6 @@ import (
 // Options selects one fast-path configuration of the pipeline. The zero
 // value is the reference serial path every invariant compares against.
 type Options struct {
-	// Cache trains through a fresh FactorCache (exercising the cache fill
-	// path; a second Train through the same cache exercises the hit path).
-	Cache bool
 	// EarlyStop enables the sequential Welch test.
 	EarlyStop bool
 	// Chains is the Gibbs chain count (0/1 = single stream).
@@ -26,6 +23,10 @@ type Options struct {
 	// Store trains through a fresh incremental factor store (the anchoring
 	// pass, which promises bit-identical factors to a full retrain).
 	Store bool
+	// StoreHit trains twice through one fresh store at the same window and
+	// diagnoses with the second model, whose factors the store hands back
+	// unchanged (the exact-window hit path).
+	StoreHit bool
 	// Precision selects the sampling kernel width (the zero value is the
 	// bit-stable float64 reference; PrecisionFloat32 is the fast path).
 	Precision core.Precision
@@ -50,8 +51,8 @@ func BaseConfig() core.Config {
 // Diagnose trains and diagnoses one case under the given configuration.
 func Diagnose(c *Case, opt Options) (*core.Diagnosis, error) {
 	cfg := BaseConfig()
-	cfg.EarlyStop = opt.EarlyStop
-	cfg.Chains = opt.Chains
+	cfg.Sampler.EarlyStop = opt.EarlyStop
+	cfg.Sampler.Chains = opt.Chains
 	cfg.Sampler.Precision = opt.Precision
 	cfg.SeedFor = opt.SeedFor
 	if opt.Samples > 0 {
@@ -62,15 +63,22 @@ func Diagnose(c *Case, opt Options) (*core.Diagnosis, error) {
 		return nil, fmt.Errorf("build graph: %w", err)
 	}
 	topts := core.TrainOpts{Now: -1, Workers: opt.Workers}
-	if opt.Cache {
-		topts.Cache = core.NewFactorCache(4)
-	}
-	if opt.Store {
+	if opt.Store || opt.StoreHit {
 		topts.Store = core.NewFactorStore()
+	}
+	if opt.StoreHit {
+		if _, err := core.TrainOpt(context.Background(), c.DB, g, cfg, topts); err != nil {
+			return nil, fmt.Errorf("train: %w", err)
+		}
 	}
 	model, err := core.TrainOpt(context.Background(), c.DB, g, cfg, topts)
 	if err != nil {
 		return nil, fmt.Errorf("train: %w", err)
+	}
+	if opt.StoreHit {
+		if st := topts.Store.Stats(); st.Hits != uint64(model.NumFactors()) {
+			return nil, fmt.Errorf("train: second pass served %d of %d factors from the store", st.Hits, model.NumFactors())
+		}
 	}
 	diag, err := model.Diagnose(c.Symptom)
 	if err != nil {
@@ -283,19 +291,18 @@ func hitTopK(d *core.Diagnosis, accept map[telemetry.EntityID]bool, k int) bool 
 }
 
 // FastPathGrid enumerates every fast-path configuration the cross-check
-// compares against the reference serial path: cache × early-stop × chains ×
-// train workers × kernel precision, plus the incremental-store training arm
-// (serial and pooled — both anchor bit-identically, so a full cross product
-// with the sampling axes would only re-test the sampling paths).
+// compares against the reference serial path: early-stop × chains × train
+// workers × kernel precision, plus the incremental-store training arms
+// (anchoring serial and pooled, and the same-window hit — all promise
+// bit-identical factors, so a full cross product with the sampling axes
+// would only re-test the sampling paths).
 func FastPathGrid() []Options {
 	var grid []Options
-	for _, cache := range []bool{false, true} {
-		for _, es := range []bool{false, true} {
-			for _, chains := range []int{1, 2} {
-				for _, workers := range []int{1, 4} {
-					for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
-						grid = append(grid, Options{Cache: cache, EarlyStop: es, Chains: chains, Workers: workers, Precision: prec})
-					}
+	for _, es := range []bool{false, true} {
+		for _, chains := range []int{1, 2} {
+			for _, workers := range []int{1, 4} {
+				for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
+					grid = append(grid, Options{EarlyStop: es, Chains: chains, Workers: workers, Precision: prec})
 				}
 			}
 		}
@@ -303,7 +310,7 @@ func FastPathGrid() []Options {
 	grid = append(grid,
 		Options{Store: true},
 		Options{Store: true, Workers: 4},
-		Options{Store: true, Cache: true}) // store supersedes cache
+		Options{StoreHit: true})
 	return grid
 }
 
@@ -318,7 +325,7 @@ const crossCheckSamples = 640
 
 // CheckCrossConfigs diagnoses one case under every fast-path configuration
 // and checks agreement with the reference serial path: decisive root causes
-// always match; configurations that only change training (cache, workers)
+// always match; configurations that only change training (workers, store)
 // must additionally match bit for bit, since those paths promise
 // bit-identical factors.
 func CheckCrossConfigs(c *Case) error {
@@ -327,11 +334,11 @@ func CheckCrossConfigs(c *Case) error {
 		return caseErr(c, "reference", err)
 	}
 	for _, opt := range FastPathGrid() {
-		if !opt.Cache && !opt.EarlyStop && opt.Chains <= 1 && opt.Workers <= 1 && opt.Precision == core.PrecisionFloat64 && !opt.Store {
+		if !opt.EarlyStop && opt.Chains <= 1 && opt.Workers <= 1 && opt.Precision == core.PrecisionFloat64 && !opt.Store && !opt.StoreHit {
 			continue // the reference itself
 		}
 		opt.Samples = crossCheckSamples
-		label := fmt.Sprintf("config{cache=%v earlystop=%v chains=%d workers=%d prec=%s store=%v}", opt.Cache, opt.EarlyStop, opt.Chains, opt.Workers, opt.Precision, opt.Store)
+		label := fmt.Sprintf("config{earlystop=%v chains=%d workers=%d prec=%s store=%v storehit=%v}", opt.EarlyStop, opt.Chains, opt.Workers, opt.Precision, opt.Store, opt.StoreHit)
 		got, err := Diagnose(c, opt)
 		if err != nil {
 			return caseErr(c, label, err)

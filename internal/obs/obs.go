@@ -61,10 +61,6 @@ type Counter uint8
 const (
 	// CtrFactorsTrained counts per-metric factors fitted from scratch.
 	CtrFactorsTrained Counter = iota
-	// CtrFactorCacheHits / CtrFactorCacheMisses count factor-cache lookups
-	// during training (zero when no cache is configured).
-	CtrFactorCacheHits
-	CtrFactorCacheMisses
 	// CtrSubgraphCacheHits / CtrSubgraphCacheMisses count shortest-path
 	// subgraph memoization lookups during candidate evaluation.
 	CtrSubgraphCacheHits
@@ -153,8 +149,6 @@ const (
 
 var counterNames = [numCounters]string{
 	"factors_trained",
-	"factor_cache_hits",
-	"factor_cache_misses",
 	"subgraph_cache_hits",
 	"subgraph_cache_misses",
 	"gibbs_samples",
@@ -233,7 +227,7 @@ func (h Hist) Name() string {
 
 // Observer receives the live event stream of an enabled Recorder. All
 // callbacks are serialized by the Recorder (even when events originate on
-// concurrent DiagnoseParallel workers), so implementations need no internal
+// concurrent diagnosis workers), so implementations need no internal
 // locking; they must not block, since they run inline with the pipeline.
 type Observer interface {
 	// StageStart fires when a pipeline stage begins.
@@ -242,9 +236,10 @@ type Observer interface {
 	// and the process CPU time consumed while it ran (0 where the platform
 	// offers no cheap process CPU clock).
 	StageEnd(st Stage, wall, cpu time.Duration)
-	// Progress fires as long-running stages advance — for StageTest, after
-	// every candidate: done of total evaluated, entity naming the candidate
-	// just finished.
+	// Progress fires as long-running stages advance — for StageTest, once
+	// per candidate: done of total finished (evaluated or skipped), entity
+	// naming the candidate just finished. The stream reaches total even on
+	// a partial diagnosis.
 	Progress(st Stage, done, total int, entity string)
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"murphy/internal/chaos"
-	"murphy/internal/resilience"
 	"murphy/internal/telemetry"
 )
 
@@ -142,7 +141,7 @@ func TestFindSymptoms(t *testing.T) {
 }
 
 func TestTopClamps(t *testing.T) {
-	r := &Report{Causes: []RootCause{{}, {}}}
+	r := &Report{Causes: []Cause{{}, {}}}
 	if len(r.Top(10)) != 2 || len(r.Top(1)) != 1 {
 		t.Fatal("Top should clamp")
 	}
@@ -273,16 +272,15 @@ func TestWithWorkersMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestWithSourceRetryAbsorbsChaos(t *testing.T) {
+func TestWithResilienceRetryAbsorbsChaos(t *testing.T) {
 	db := demoDB(t)
 	inj := chaos.Wrap(db, chaos.Config{Seed: 11, FaultRate: 0.2})
 	cfg := DefaultConfig()
 	cfg.Samples = 300
 	cfg.TrainWindow = 220
-	sys, err := New(db, WithConfig(cfg),
-		WithSource(inj),
-		WithRetry(resilience.Policy{MaxAttempts: 6, Seed: 3}.
-			WithSleep(func(context.Context, time.Duration) error { return nil })))
+	retry := RetryPolicy{MaxAttempts: 6, Seed: 3}.
+		WithSleep(func(context.Context, time.Duration) error { return nil })
+	sys, err := New(db, WithConfig(cfg), WithResilience(Resilience{Source: inj, Retry: &retry}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,15 +312,16 @@ func TestWithSourceRetryAbsorbsChaos(t *testing.T) {
 	}
 }
 
-func TestWithBreakerDegradesDeadSource(t *testing.T) {
+func TestWithResilienceBreakerDegradesDeadSource(t *testing.T) {
 	db := demoDB(t)
 	inj := chaos.Wrap(db, chaos.Config{Seed: 7, FaultRate: 1.0})
 	cfg := DefaultConfig()
 	cfg.Samples = 200
 	cfg.TrainWindow = 220
-	sys, err := New(db, WithConfig(cfg),
-		WithSource(inj),
-		WithBreaker(resilience.BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour}))
+	sys, err := New(db, WithConfig(cfg), WithResilience(Resilience{
+		Source:  inj,
+		Breaker: &BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

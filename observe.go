@@ -23,7 +23,7 @@ const (
 // StageStart/StageEnd around every pipeline stage (with wall and process-CPU
 // timings) and Progress as the candidate tests advance ("tested 14/63").
 // Callbacks are serialized by the System — even when events originate on
-// concurrent DiagnoseParallel workers — so implementations need no locking;
+// concurrent diagnosis workers — so implementations need no locking;
 // they must not block, since they run inline with the pipeline.
 type Observer = obs.Observer
 

@@ -170,23 +170,8 @@ func TestConcurrentObserversUnderParallelDiagnosis(t *testing.T) {
 
 func TestStatsOkBool(t *testing.T) {
 	plain := testSystem(t)
-	if _, ok := plain.FactorCacheStats(); ok {
-		t.Error("FactorCacheStats ok=true without a configured cache")
-	}
 	if _, ok := plain.SourceStats(); ok {
 		t.Error("SourceStats ok=true without a resilient source")
-	}
-
-	cached := testSystem(t, WithCaching(Caching{}))
-	if _, err := cached.Diagnose(demoSymptom()); err != nil {
-		t.Fatal(err)
-	}
-	cst, ok := cached.FactorCacheStats()
-	if !ok {
-		t.Fatal("FactorCacheStats ok=false with caching configured")
-	}
-	if cst.Misses == 0 {
-		t.Errorf("cache stats show no misses after a first diagnosis: %+v", cst)
 	}
 
 	resilient := testSystem(t, WithResilience(Resilience{
