@@ -155,34 +155,6 @@ func TestDiagnoseBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestWithParallelTrainingMatchesSerial is the facade-level determinism check:
-// WithParallelTraining must leave single-chain verdicts bit-identical and
-// multi-chain rankings intact.
-func TestWithParallelTrainingMatchesSerial(t *testing.T) {
-	want, err := testSystem(t).Diagnose(demoSymptom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := testSystem(t, WithParallelTraining(4)).Diagnose(demoSymptom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReport(t, "parallel training", want, got)
-
-	chained, err := testSystem(t, WithParallelTraining(4), WithSampler(SamplerConfig{Chains: 4})).Diagnose(demoSymptom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chained.Causes) != len(want.Causes) {
-		t.Fatalf("chains=4: %d causes vs %d", len(chained.Causes), len(want.Causes))
-	}
-	for i := range want.Causes {
-		if chained.Causes[i].Entity != want.Causes[i].Entity {
-			t.Fatalf("chains=4: rank %d is %s, want %s", i, chained.Causes[i].Entity, want.Causes[i].Entity)
-		}
-	}
-}
-
 // TestWithWorkersZeroClamped verifies WithWorkers(0) degrades to the serial
 // path instead of panicking or spawning an unbounded pool.
 func TestWithWorkersZeroClamped(t *testing.T) {

@@ -613,24 +613,6 @@ func BenchmarkIncrementalTrain(b *testing.B) {
 	})
 }
 
-// BenchmarkDiagnoseChains times multi-chain Gibbs sampling across chain
-// counts; chains=1 is the untouched legacy single-stream sampler.
-func BenchmarkDiagnoseChains(b *testing.B) {
-	for _, chains := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("chains%d", chains), func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Sampler.Chains = chains
-			m, sc := contentionModel(b, cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Diagnose(sc.Symptom); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Observability layer overhead
 

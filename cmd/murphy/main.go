@@ -36,9 +36,7 @@ func main() {
 		samples  = flag.Int("samples", 5000, "Monte-Carlo samples per counterfactual test")
 		window   = flag.Int("window", 300, "online-training window (time slices)")
 		timeout  = flag.Duration("timeout", 0, "diagnosis deadline; on expiry the partial ranking is printed (0 = none)")
-		workers  = flag.Int("workers", 1, "parallel candidate evaluators (1 = sequential; results identical)")
-		trainW   = flag.Int("trainworkers", 0, "training-pass pool workers (0 = follow -workers; models bit-identical at any count)")
-		chains   = flag.Int("chains", 1, "independent Gibbs chains per counterfactual test (1 = single-stream sampler)")
+		workers  = flag.Int("workers", 1, "parallel candidate evaluators and training-pass workers (1 = sequential; results identical)")
 		prec     = flag.String("precision", "float64", "sampling kernel precision: float64 (bit-stable default) or float32 (fast path)")
 		retries  = flag.Int("retries", 0, "retry attempts for transient telemetry read faults (0 = no retry layer)")
 		inctrain = flag.Bool("inctrain", false, "maintain trained factors incrementally across the diagnoses of this run: windows that slide between diagnoses update sufficient statistics instead of retraining")
@@ -91,10 +89,7 @@ func main() {
 	if *workers > 1 {
 		opts = append(opts, murphy.WithWorkers(*workers))
 	}
-	if *trainW != 0 {
-		opts = append(opts, murphy.WithParallelTraining(*trainW))
-	}
-	sampler := murphy.SamplerConfig{Chains: *chains}
+	var sampler murphy.SamplerConfig
 	switch *prec {
 	case "float64", "f64", "":
 		sampler.Precision = murphy.PrecisionFloat64

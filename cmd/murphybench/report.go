@@ -63,17 +63,15 @@ type fastPathJSON struct {
 	F32CausesIdentical    bool    `json:"f32_causes_identical"`
 }
 
-// trainScaleJSON is one (workers, chains) point of the trainscale sweep.
+// trainScaleJSON is one worker-count point of the trainscale sweep.
 type trainScaleJSON struct {
-	Workers           int     `json:"workers"`
-	Chains            int     `json:"chains"`
-	TrainMs           float64 `json:"train_ms"`
-	DiagnoseMs        float64 `json:"diagnose_ms"`
-	NsPerDiagnose     int64   `json:"ns_per_diagnose"`
-	SamplesPerSec     float64 `json:"samples_per_sec"`
-	SpeedupVsSerial   float64 `json:"speedup_vs_serial"`
-	RankingsIdentical bool    `json:"rankings_identical"`
-	BitIdentical      bool    `json:"bit_identical"`
+	Workers         int     `json:"workers"`
+	TrainMs         float64 `json:"train_ms"`
+	DiagnoseMs      float64 `json:"diagnose_ms"`
+	NsPerDiagnose   int64   `json:"ns_per_diagnose"`
+	SamplesPerSec   float64 `json:"samples_per_sec"`
+	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
+	BitIdentical    bool    `json:"bit_identical"`
 }
 
 // incTrainJSON summarizes one incremental-training replay arm.
@@ -131,14 +129,12 @@ func trainScaleReport(r *harness.TrainScaleResult) []trainScaleJSON {
 	out := make([]trainScaleJSON, 0, len(r.Points))
 	for _, p := range r.Points {
 		pt := trainScaleJSON{
-			Workers:           p.Workers,
-			Chains:            p.Chains,
-			TrainMs:           float64(p.TrainTime) / float64(time.Millisecond),
-			DiagnoseMs:        float64(p.DiagTime) / float64(time.Millisecond),
-			SamplesPerSec:     p.SamplesPerSec,
-			SpeedupVsSerial:   p.Speedup,
-			RankingsIdentical: p.RankingsIdentical,
-			BitIdentical:      p.BitIdentical,
+			Workers:         p.Workers,
+			TrainMs:         float64(p.TrainTime) / float64(time.Millisecond),
+			DiagnoseMs:      float64(p.DiagTime) / float64(time.Millisecond),
+			SamplesPerSec:   p.SamplesPerSec,
+			SpeedupVsSerial: p.Speedup,
+			BitIdentical:    p.BitIdentical,
 		}
 		if r.Opts.Scenarios > 0 {
 			pt.NsPerDiagnose = (p.TrainTime + p.DiagTime).Nanoseconds() / int64(r.Opts.Scenarios)

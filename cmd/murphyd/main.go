@@ -16,11 +16,13 @@
 // GET /entities/{ref}/performance, GET /healthz, GET /readyz, GET /statusz,
 // plus /metrics /stats /debug/vars (and /debug/pprof with -pprof).
 //
-// With -reportdir, completed diagnosis reports are additionally persisted to
-// an append-only, crash-safe segment file before they are acknowledged, and
-// GET /reports searches the persisted store (by entity, app, cause, source,
-// and time range, with cursor pagination) instead of the bounded in-memory
-// ring; -report-retention caps how many reports the store keeps.
+// Completed diagnosis reports go to a report store that GET /reports
+// searches (by entity, app, cause, source, and time range, with cursor
+// pagination); -report-retention caps how many reports it keeps. With
+// -reportdir — or, when only -state is given, the directory <state>.reports —
+// the store is an append-only, crash-safe segment file, and every report is
+// persisted before it is acknowledged. Without either flag the store is
+// memory-only.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: readiness flips off, new
 // work is shed with 503, queued and in-flight diagnoses finish (bounded by
@@ -60,8 +62,8 @@ func main() {
 		snapEv   = flag.Duration("snapshot-every", 30*time.Second, "periodic state-snapshot cadence (needs -state)")
 		ingestN  = flag.Int("max-ingest", 4, "concurrently applied ingest batches; excess sheds with 429")
 		readsN   = flag.Int("max-reads", 16, "concurrently served operator queries (/topology, /entities, /reports); excess sheds with 429")
-		repDir   = flag.String("reportdir", "", "directory for the persisted report store: completed diagnoses are appended crash-safely and GET /reports searches them across restarts (\"\" keeps the in-memory ring only)")
-		repKeep  = flag.Int("report-retention", 10000, "reports retained in the persisted store before compaction drops the oldest (needs -reportdir)")
+		repDir   = flag.String("reportdir", "", "directory for the persisted report store: completed diagnoses are appended crash-safely and GET /reports searches them across restarts (\"\" = <state>.reports with -state, else a memory-only store)")
+		repKeep  = flag.Int("report-retention", 10000, "reports retained in the report store before compaction drops the oldest")
 		retries  = flag.Int("retries", 0, "retry attempts for transient telemetry read faults (0 = no retry layer)")
 		inctrain = flag.Bool("inctrain", false, "train incrementally: slide per-factor sufficient statistics as windows advance instead of retraining full windows; the factor store persists in the -state snapshot so warm restarts skip training")
 		driftTh  = flag.Float64("drift-threshold", 0, "MASE drift score above which an incrementally maintained factor is fully refit (0 = default 4.0; needs -inctrain)")
@@ -135,6 +137,11 @@ func main() {
 		}))
 	}
 
+	if *repDir == "" && *state != "" {
+		// Reports must survive a -state restart just as the rest of the
+		// daemon's state does.
+		*repDir = *state + ".reports"
+	}
 	srv, err := serve.New(db, serve.Config{
 		QueueCap:            *queueCap,
 		Workers:             *workers,

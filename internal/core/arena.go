@@ -2,25 +2,25 @@ package core
 
 import "sync"
 
-// arena is the per-chain scratch space of the batched Gibbs kernel. The
+// arena is the per-candidate scratch space of the batched Gibbs kernel. The
 // sampler's state — one vector of n parallel chain values per touched
 // (entity, metric) — lives in slot-indexed flat slices (see kernelTables'
-// slot table), plus the merged draw buffers of the fixed-budget test and the
-// float32 path's widening scratch. Every pass eagerly re-fills the slots its
-// plan touches from the start state, so buffers never need clearing between
-// passes, batches, or candidates; they just get reused at whatever capacity
-// they last grew to.
+// slot table), plus the counterfactual draw buffer of the fixed-budget test
+// and the float32 path's widening scratch. Every pass eagerly re-fills the
+// slots its plan touches from the start state, so buffers never need
+// clearing between passes, batches, or candidates; they just get reused at
+// whatever capacity they last grew to.
 //
-// An arena is single-goroutine scratch; multi-chain and parallel diagnosis
-// workers each take their own from the model's pool.
+// An arena is single-goroutine scratch; parallel diagnosis workers each take
+// their own from the model's pool.
 type arena struct {
 	vals64 [][]float64
 	vals32 [][]float32
 	// x is the per-sample feature gather buffer of generic (non-fused) steps.
 	x []float64
-	// d1/d2 hold the merged counterfactual/factual draws of the fixed-budget
-	// test across all chains.
-	d1, d2 []float64
+	// cf holds the counterfactual draws of the fixed-budget test while the
+	// factual pass reuses the slots.
+	cf []float64
 	// conv is the float64 view of a float32 pass's symptom draws.
 	conv []float64
 }
@@ -47,26 +47,18 @@ func (a *arena) slots32(nslots int) [][]float32 {
 	return a.vals32
 }
 
-// draws1/draws2 return the two merged draw vectors, sized n.
-func (a *arena) draws1(n int) []float64 {
-	if cap(a.d1) < n {
-		a.d1 = make([]float64, n)
+// draws returns the counterfactual draw buffer, sized n.
+func (a *arena) draws(n int) []float64 {
+	if cap(a.cf) < n {
+		a.cf = make([]float64, n)
 	}
-	return a.d1[:n]
+	return a.cf[:n]
 }
 
-func (a *arena) draws2(n int) []float64 {
-	if cap(a.d2) < n {
-		a.d2 = make([]float64, n)
-	}
-	return a.d2[:n]
-}
-
-// scratch64 returns the float32 path's widening buffer, sized n with at
-// least hint capacity.
-func (a *arena) scratch64(n, hint int) []float64 {
+// scratch64 returns the float32 path's widening buffer, sized n.
+func (a *arena) scratch64(n int) []float64 {
 	if cap(a.conv) < n {
-		a.conv = make([]float64, maxInt(n, hint))
+		a.conv = make([]float64, n)
 	}
 	return a.conv[:n]
 }

@@ -86,22 +86,12 @@ func (p Precision) String() string {
 }
 
 // SamplerConfig is the bundled configuration of the batched Gibbs sampling
-// kernel: arithmetic precision, chain parallelism, sequential early
-// stopping, and scratch sizing. The zero value means "defaults".
+// kernel: arithmetic precision and sequential early stopping. The zero
+// value means "defaults".
 type SamplerConfig struct {
 	// Precision selects float64 (default, bit-compatible with the original
 	// sampler) or the float32 fast path.
 	Precision Precision
-	// Chains splits each counterfactual test's factual and counterfactual
-	// Monte-Carlo draws across K independent Gibbs chains, each with its own
-	// splitmix-derived RNG stream and arena, executed on up to
-	// min(K, GOMAXPROCS) goroutines. For a fixed K the merged draws are
-	// bit-identical regardless of how many goroutines actually run (one
-	// included), so verdicts never depend on scheduling. 0 or 1 keeps the
-	// single-stream sampler — the historical bit pattern the golden rankings
-	// are pinned against; K >= 2 changes individual p-value bits (different
-	// RNG streams) but preserves the rankings on clear-cut workloads.
-	Chains int
 	// EarlyStop enables sequential significance testing: the Monte-Carlo
 	// samples of each counterfactual test are drawn in batches through a
 	// streaming Welch t-test, and sampling stops as soon as the verdict at
@@ -117,10 +107,6 @@ type SamplerConfig struct {
 	// sit Φ⁻¹(c) standard deviations past their thresholds. Zero (or out of
 	// range) defaults to 0.999 (≈3.1σ).
 	EarlyStopConfidence float64
-	// ArenaSamples pre-sizes the per-chain scratch vectors (in samples) so
-	// arenas reused across diagnoses with growing budgets never regrow
-	// mid-pass. 0 sizes buffers on demand from each pass's batch size.
-	ArenaSamples int
 }
 
 // DefaultConfig returns the paper's parameter choices.
@@ -173,9 +159,6 @@ func (c Config) sanitized() Config {
 	}
 	if c.Sampler.EarlyStopConfidence <= 0.5 || c.Sampler.EarlyStopConfidence >= 1 {
 		c.Sampler.EarlyStopConfidence = 0.999
-	}
-	if c.Sampler.ArenaSamples < 0 {
-		c.Sampler.ArenaSamples = 0
 	}
 	return c
 }

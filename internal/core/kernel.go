@@ -258,9 +258,10 @@ func (m *Model) compilePlan(path []telemetry.EntityID, symRef metricRef) *pathPl
 	return p
 }
 
-// noiseStream is one chain's noise source; exactly one field is non-nil.
-// The float64 kernel keeps *rand.Rand so its draw stream is bit-identical
-// to the original sampler's; the float32 kernel uses the ziggurat source.
+// noiseStream is one sampling stream's noise source; exactly one field is
+// non-nil. The float64 kernel keeps *rand.Rand so its draw stream is
+// bit-identical to the original sampler's; the float32 kernel uses the
+// ziggurat source.
 type noiseStream struct {
 	r *rand.Rand
 	z *stats.NormSource
@@ -281,29 +282,25 @@ func (m *Model) newStream(seed int64) noiseStream {
 // kernel precision (the float32 path widens into arena scratch); the slice
 // is arena-owned and valid until the arena's next pass.
 func (m *Model) runPass(ctx context.Context, plan *pathPlan, ov *overrides, ns noiseStream, ar *arena, n int) ([]float64, error) {
-	hint := n
-	if h := m.cfg.Sampler.ArenaSamples; h > hint {
-		hint = h
-	}
 	if m.cfg.Sampler.Precision == PrecisionFloat32 {
-		out32, err := m.runPass32(ctx, plan, ov, ns.z, ar, n, hint)
+		out32, err := m.runPass32(ctx, plan, ov, ns.z, ar, n)
 		if err != nil {
 			return nil, err
 		}
-		conv := ar.scratch64(n, hint)
+		conv := ar.scratch64(n)
 		mat.Widen(conv, out32)
 		return conv, nil
 	}
-	return m.runPass64(ctx, plan, ov, ns.r, ar, n, hint)
+	return m.runPass64(ctx, plan, ov, ns.r, ar, n)
 }
 
-func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rng *rand.Rand, ar *arena, n, hint int) ([]float64, error) {
+func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rng *rand.Rand, ar *arena, n int) ([]float64, error) {
 	base := m.base64()
 	vals := ar.slots64(m.kern.nslots)
 	ensure := func(s int32) []float64 {
 		buf := vals[s]
 		if cap(buf) < n {
-			buf = make([]float64, maxInt(n, hint))
+			buf = make([]float64, n)
 			vals[s] = buf
 		}
 		return buf[:n]
@@ -359,13 +356,13 @@ func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rn
 	return vals[plan.symSlot][:n], nil
 }
 
-func (m *Model) runPass32(ctx context.Context, plan *pathPlan, ov *overrides, zs *stats.NormSource, ar *arena, n, hint int) ([]float32, error) {
+func (m *Model) runPass32(ctx context.Context, plan *pathPlan, ov *overrides, zs *stats.NormSource, ar *arena, n int) ([]float32, error) {
 	base := m.base32()
 	vals := ar.slots32(m.kern.nslots)
 	ensure := func(s int32) []float32 {
 		buf := vals[s]
 		if cap(buf) < n {
-			buf = make([]float32, maxInt(n, hint))
+			buf = make([]float32, n)
 			vals[s] = buf
 		}
 		return buf[:n]
@@ -431,11 +428,4 @@ func (m *Model) runPass32(ctx context.Context, plan *pathPlan, ov *overrides, zs
 	}
 	m.obs.Add(obs.CtrGibbsSamples, int64(n))
 	return vals[plan.symSlot][:n], nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -265,3 +265,17 @@ func (r *IncTrainResult) String() string {
 		r.MaxDelta, r.Opts.Tolerance, r.ToleranceOK, r.CausesIdentical)
 	return b.String()
 }
+
+// sameRankedEntities reports whether two diagnoses certified the same ranked
+// entity list (ignoring p-values and effects).
+func sameRankedEntities(a, b *core.Diagnosis) bool {
+	if len(a.Causes) != len(b.Causes) {
+		return false
+	}
+	for i := range a.Causes {
+		if a.Causes[i].Entity != b.Causes[i].Entity {
+			return false
+		}
+	}
+	return true
+}

@@ -16,7 +16,7 @@ import (
 
 // TrainScaleOptions parameterizes the parallel train-and-sample scaling
 // experiment: end-to-end Diagnose wall time on the Table-2 contention
-// workload across training/inference worker counts and Gibbs chain counts.
+// workload across training/inference worker counts.
 type TrainScaleOptions struct {
 	// Scenarios is the number of contention incidents.
 	Scenarios int
@@ -27,29 +27,23 @@ type TrainScaleOptions struct {
 	// Workers are the worker counts to sweep; each point runs the training
 	// pool, the parallel diagnosis fan-out, and GOMAXPROCS at that count.
 	Workers []int
-	// Chains are the Gibbs chain counts to sweep (at the largest worker
-	// count): each counterfactual test's draws split across this many
-	// independently seeded chains.
-	Chains []int
 	// Seed drives scenario generation.
 	Seed int64
 }
 
 // DefaultTrainScaleOptions returns the sweep the EXPERIMENTS table reports:
-// workers 1/2/4/8 and chains 1/2/4.
+// workers 1/2/4/8.
 func DefaultTrainScaleOptions() TrainScaleOptions {
 	return TrainScaleOptions{
 		Scenarios: 2, Steps: 300, Samples: 2000, TrainWindow: 280,
-		Workers: []int{1, 2, 4, 8}, Chains: []int{1, 2, 4}, Seed: 1,
+		Workers: []int{1, 2, 4, 8}, Seed: 1,
 	}
 }
 
-// TrainScalePoint is one measured (workers, chains) configuration, summed
-// over all scenarios.
+// TrainScalePoint is one measured worker count, summed over all scenarios.
 type TrainScalePoint struct {
-	// Workers is the training-pool and candidate fan-out width; Chains is
-	// the per-test Gibbs chain count.
-	Workers, Chains int
+	// Workers is the training-pool and candidate fan-out width.
+	Workers int
 	// TrainTime / DiagTime are total wall times across scenarios.
 	TrainTime, DiagTime time.Duration
 	// Speedup is the serial baseline's end-to-end (train+diagnose) wall time
@@ -57,13 +51,9 @@ type TrainScalePoint struct {
 	Speedup float64
 	// SamplesPerSec is the Monte-Carlo draw throughput during inference.
 	SamplesPerSec float64
-	// RankingsIdentical reports whether every diagnosis certified the same
-	// ranked entities as the serial (workers=1, chains=1) baseline.
-	RankingsIdentical bool
 	// BitIdentical reports whether every verdict (p-value, effect, score)
-	// is bit-equal to the workers=1 run at the same chain count — the
-	// determinism contract: worker count must never change bits; chain
-	// count is allowed to (different RNG streams).
+	// is bit-equal to the serial run — the determinism contract: worker
+	// count must never change bits.
 	BitIdentical bool
 }
 
@@ -73,26 +63,22 @@ type TrainScaleResult struct {
 	// HostProcs is runtime.NumCPU of the measuring host — scaling headroom
 	// is bounded by it no matter what GOMAXPROCS is set to.
 	HostProcs int
-	// Baseline is the serial point (workers=1, chains=1).
+	// Baseline is the serial point (workers=1).
 	Baseline TrainScalePoint
 	// Points are the swept configurations, serial baseline first.
 	Points []TrainScalePoint
 }
 
-// RunTrainScale measures end-to-end Diagnose wall time across worker and
-// chain counts on the Table-2 contention workload. For every configuration it
-// also verifies the engine's determinism contract against the serial run:
-// certified rankings must match at every point, and verdicts must be
-// bit-identical across worker counts at a fixed chain count.
+// RunTrainScale measures end-to-end Diagnose wall time across worker counts
+// on the Table-2 contention workload. For every configuration it also
+// verifies the engine's determinism contract: verdicts must be bit-identical
+// to the serial run.
 func RunTrainScale(opts TrainScaleOptions) (*TrainScaleResult, error) {
 	if opts.Scenarios <= 0 {
 		return nil, fmt.Errorf("harness: need at least one scenario")
 	}
 	if len(opts.Workers) == 0 {
 		opts.Workers = []int{1}
-	}
-	if len(opts.Chains) == 0 {
-		opts.Chains = []int{1}
 	}
 	// Build every scenario once; all configurations diagnose the same data.
 	type scenario struct {
@@ -120,20 +106,15 @@ func RunTrainScale(opts TrainScaleOptions) (*TrainScaleResult, error) {
 	oldProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(oldProcs)
 
-	// runPoint diagnoses every scenario at one (workers, chains) setting.
-	runPoint := func(workers, chains int) (*TrainScalePoint, []*core.Diagnosis, error) {
-		procs := workers
-		if chains > procs {
-			procs = chains
-		}
-		runtime.GOMAXPROCS(procs)
+	// runPoint diagnoses every scenario at one worker count.
+	runPoint := func(workers int) (*TrainScalePoint, []*core.Diagnosis, error) {
+		runtime.GOMAXPROCS(workers)
 		rec := obs.New()
 		rec.Enable()
-		p := &TrainScalePoint{Workers: workers, Chains: chains}
+		p := &TrainScalePoint{Workers: workers}
 		var diags []*core.Diagnosis
 		for _, sc := range scs {
 			cfg := murphyConfig(opts.Samples, opts.TrainWindow)
-			cfg.Sampler.Chains = chains
 			t0 := time.Now()
 			model, err := core.TrainOpt(context.Background(), sc.db, sc.g, cfg,
 				core.TrainOpts{Now: -1, Workers: workers, Obs: rec})
@@ -156,66 +137,36 @@ func RunTrainScale(opts TrainScaleOptions) (*TrainScaleResult, error) {
 	}
 
 	res := &TrainScaleResult{Opts: opts, HostProcs: runtime.NumCPU()}
-	base, baseDiags, err := runPoint(1, 1)
+	base, baseDiags, err := runPoint(1)
 	if err != nil {
 		return nil, err
 	}
 	base.Speedup = 1
-	base.RankingsIdentical, base.BitIdentical = true, true
+	base.BitIdentical = true
 	res.Baseline = *base
 	res.Points = append(res.Points, *base)
 	baseWall := base.TrainTime + base.DiagTime
 
-	// serialByChains[c] holds the workers=1 diagnoses at chain count c — the
-	// bit-identity reference for every wider worker count.
-	serialByChains := map[int][]*core.Diagnosis{1: baseDiags}
-	for _, c := range opts.Chains {
-		for _, w := range opts.Workers {
-			if w == 1 && c == 1 {
-				continue // the baseline, already recorded
-			}
-			p, diags, err := runPoint(w, c)
-			if err != nil {
-				return nil, err
-			}
-			if wall := p.TrainTime + p.DiagTime; wall > 0 {
-				p.Speedup = float64(baseWall) / float64(wall)
-			}
-			ref, ok := serialByChains[c]
-			if !ok {
-				// First run at this chain count becomes the reference (the
-				// sweep starts each chain count at the smallest worker count).
-				serialByChains[c] = diags
-				ref = diags
-			}
-			p.RankingsIdentical, p.BitIdentical = true, true
-			for i, d := range diags {
-				if !sameCauses(ref[i], d) {
-					p.BitIdentical = false
-				}
-				if !sameRankedEntities(baseDiags[i], d) {
-					p.RankingsIdentical = false
-				}
-			}
-			res.Points = append(res.Points, *p)
+	for _, w := range opts.Workers {
+		if w == 1 {
+			continue // the baseline, already recorded
 		}
+		p, diags, err := runPoint(w)
+		if err != nil {
+			return nil, err
+		}
+		if wall := p.TrainTime + p.DiagTime; wall > 0 {
+			p.Speedup = float64(baseWall) / float64(wall)
+		}
+		p.BitIdentical = true
+		for i, d := range diags {
+			if !sameCauses(baseDiags[i], d) {
+				p.BitIdentical = false
+			}
+		}
+		res.Points = append(res.Points, *p)
 	}
 	return res, nil
-}
-
-// sameRankedEntities reports whether two diagnoses certified the same ranked
-// entity list (ignoring p-values/effects, which legitimately differ across
-// chain counts).
-func sameRankedEntities(a, b *core.Diagnosis) bool {
-	if len(a.Causes) != len(b.Causes) {
-		return false
-	}
-	for i := range a.Causes {
-		if a.Causes[i].Entity != b.Causes[i].Entity {
-			return false
-		}
-	}
-	return true
 }
 
 // String prints the scaling table.
@@ -224,13 +175,13 @@ func (r *TrainScaleResult) String() string {
 	b.WriteString("parallel train-and-sample scaling — Table-2 contention workload\n")
 	fmt.Fprintf(&b, "  workload: %d scenarios, %d samples, window %d; host CPUs: %d\n",
 		r.Opts.Scenarios, r.Opts.Samples, r.Opts.TrainWindow, r.HostProcs)
-	fmt.Fprintf(&b, "  %7s %6s %10s %10s %8s %12s %9s %8s\n",
-		"workers", "chains", "train", "diagnose", "speedup", "samples/s", "rankings", "bits")
+	fmt.Fprintf(&b, "  %7s %10s %10s %8s %12s %8s\n",
+		"workers", "train", "diagnose", "speedup", "samples/s", "bits")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "  %7d %6d %10s %10s %7.2fx %12.0f %9v %8v\n",
-			p.Workers, p.Chains,
+		fmt.Fprintf(&b, "  %7d %10s %10s %7.2fx %12.0f %8v\n",
+			p.Workers,
 			p.TrainTime.Round(time.Millisecond), p.DiagTime.Round(time.Millisecond),
-			p.Speedup, p.SamplesPerSec, p.RankingsIdentical, p.BitIdentical)
+			p.Speedup, p.SamplesPerSec, p.BitIdentical)
 	}
 	return b.String()
 }

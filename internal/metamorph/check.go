@@ -16,8 +16,6 @@ import (
 type Options struct {
 	// EarlyStop enables the sequential Welch test.
 	EarlyStop bool
-	// Chains is the Gibbs chain count (0/1 = single stream).
-	Chains int
 	// Workers is the training worker pool size (0/1 = serial).
 	Workers int
 	// Store trains through a fresh incremental factor store (the anchoring
@@ -52,7 +50,6 @@ func BaseConfig() core.Config {
 func Diagnose(c *Case, opt Options) (*core.Diagnosis, error) {
 	cfg := BaseConfig()
 	cfg.Sampler.EarlyStop = opt.EarlyStop
-	cfg.Sampler.Chains = opt.Chains
 	cfg.Sampler.Precision = opt.Precision
 	cfg.SeedFor = opt.SeedFor
 	if opt.Samples > 0 {
@@ -291,19 +288,17 @@ func hitTopK(d *core.Diagnosis, accept map[telemetry.EntityID]bool, k int) bool 
 }
 
 // FastPathGrid enumerates every fast-path configuration the cross-check
-// compares against the reference serial path: early-stop × chains × train
-// workers × kernel precision, plus the incremental-store training arms
+// compares against the reference serial path: early-stop × train workers ×
+// kernel precision, plus the incremental-store training arms
 // (anchoring serial and pooled, and the same-window hit — all promise
 // bit-identical factors, so a full cross product with the sampling axes
 // would only re-test the sampling paths).
 func FastPathGrid() []Options {
 	var grid []Options
 	for _, es := range []bool{false, true} {
-		for _, chains := range []int{1, 2} {
-			for _, workers := range []int{1, 4} {
-				for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
-					grid = append(grid, Options{EarlyStop: es, Chains: chains, Workers: workers, Precision: prec})
-				}
+		for _, workers := range []int{1, 4} {
+			for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
+				grid = append(grid, Options{EarlyStop: es, Workers: workers, Precision: prec})
 			}
 		}
 	}
@@ -317,7 +312,7 @@ func FastPathGrid() []Options {
 // crossCheckSamples is the Monte-Carlo budget of the configuration
 // cross-check. It is deliberately larger than BaseConfig's: with a small
 // budget the t-statistic itself is noisy enough that an independent RNG
-// stream (chains ≥ 2) can flip a borderline candidate decisively, which is
+// stream (the float32 kernel's) can flip a borderline candidate decisively, which is
 // sampling noise, not a fast-path bug. It also exceeds the sequential test's
 // minimum draw count, so the early-stop configurations genuinely stop early
 // instead of degenerating into the full-budget path.
@@ -334,22 +329,21 @@ func CheckCrossConfigs(c *Case) error {
 		return caseErr(c, "reference", err)
 	}
 	for _, opt := range FastPathGrid() {
-		if !opt.EarlyStop && opt.Chains <= 1 && opt.Workers <= 1 && opt.Precision == core.PrecisionFloat64 && !opt.Store && !opt.StoreHit {
+		if !opt.EarlyStop && opt.Workers <= 1 && opt.Precision == core.PrecisionFloat64 && !opt.Store && !opt.StoreHit {
 			continue // the reference itself
 		}
 		opt.Samples = crossCheckSamples
-		label := fmt.Sprintf("config{earlystop=%v chains=%d workers=%d prec=%s store=%v storehit=%v}", opt.EarlyStop, opt.Chains, opt.Workers, opt.Precision, opt.Store, opt.StoreHit)
+		label := fmt.Sprintf("config{earlystop=%v workers=%d prec=%s store=%v storehit=%v}", opt.EarlyStop, opt.Workers, opt.Precision, opt.Store, opt.StoreHit)
 		got, err := Diagnose(c, opt)
 		if err != nil {
 			return caseErr(c, label, err)
 		}
-		if !opt.EarlyStop && opt.Chains <= 1 && opt.Precision == core.PrecisionFloat64 {
+		if !opt.EarlyStop && opt.Precision == core.PrecisionFloat64 {
 			// Training-only variants promise bit-identical factors.
 			err = bitIdentical(ref, got, identity)
 		} else {
-			// Early stopping truncates samples, extra chains use different
-			// RNG streams, and the float32 kernel uses different streams and
-			// arithmetic: decisive causes must agree, borderline ones may
+			// Early stopping truncates samples, and the float32 kernel uses
+			// different streams and arithmetic: decisive causes must agree, borderline ones may
 			// flip.
 			err = agreeCertified(ref, got)
 		}

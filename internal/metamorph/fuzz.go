@@ -12,8 +12,8 @@
 //     survive entity renaming, edge-insertion-order permutation, affine
 //     metric rescaling, and injection of disconnected decoy entities, must
 //     never *gain* a root cause when the true cause's telemetry is ablated,
-//     and every fast-path configuration (early stopping × chains × train
-//     workers × precision, plus the factor-store arms) must agree with the
+//     and every fast-path configuration (early stopping × train workers ×
+//     precision, plus the factor-store arms) must agree with the
 //     reference serial path.
 //
 // The same fuzzer feeds harness.RunAccuracy, whose precision/recall numbers

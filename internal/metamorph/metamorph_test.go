@@ -93,7 +93,7 @@ func TestMetamorphInvariants(t *testing.T) {
 }
 
 // TestMetamorphCrossConfigs fuzzes scenarios per family and checks that
-// every fast-path configuration (early-stop × chains × workers × precision,
+// every fast-path configuration (early-stop × workers × precision,
 // plus the factor-store arms) agrees with the reference serial path.
 func TestMetamorphCrossConfigs(t *testing.T) {
 	n := casesPerFamily(t, 2)

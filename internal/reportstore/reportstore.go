@@ -1,19 +1,20 @@
-// Package reportstore persists completed diagnosis reports beyond the serve
-// layer's in-memory ring: an append-only segment file with CRC-framed JSON
-// records, an in-memory index over the indexed fields, and a search API with
-// stable pagination cursors.
+// Package reportstore keeps the serve layer's completed diagnosis reports:
+// an in-memory index over the indexed fields and a search API with stable
+// pagination cursors, backed by an append-only segment file with CRC-framed
+// JSON records (Open) or by nothing at all (OpenMemory).
 //
-// Durability contract: Append fsyncs the segment before returning, so a
-// record whose Append returned nil survives kill -9 — the daemon acknowledges
-// a diagnosis to its client only after the append returns. Crash recovery is
-// Open: the segment is scanned frame by frame and a torn or corrupt final
+// Durability contract of a durable store: Append fsyncs the segment before
+// returning, so a record whose Append returned nil survives kill -9 — the
+// daemon acknowledges a diagnosis to its client only after the append
+// returns. Crash recovery is Open: the segment is scanned frame by frame and a torn or corrupt final
 // record (a crash mid-write) is truncated away, never propagated.
 //
 // Retention rewrites the segment through the same temp + fsync + rename
 // discipline the serve snapshots use, keeping the newest MaxRecords records.
 // Sequence numbers are preserved across compaction, so pagination cursors
 // (opaque encodings of the last-seen sequence number) stay valid: a cursor
-// taken before a compaction simply skips the expired prefix.
+// taken before a compaction simply skips the expired prefix. A memory store
+// applies the same retention and cursor rules to its index alone.
 package reportstore
 
 import (
@@ -98,8 +99,8 @@ type Query struct {
 	// Since/Until bound the completion time (inclusive); zero means open.
 	Since time.Time
 	Until time.Time
-	// SinceSeq keeps only records with Seq > SinceSeq (the legacy ring
-	// protocol: "records newer than the last one I saw").
+	// SinceSeq keeps only records with Seq > SinceSeq ("records newer than
+	// the last one I saw", the /reports ?since=<seq> form).
 	SinceSeq int64
 	// AfterSeq resumes a paginated scan after a cursor position.
 	AfterSeq int64
@@ -127,15 +128,16 @@ type Stats struct {
 	Truncated int64
 }
 
-// Store is a crash-safe persisted report store over one directory. All
-// methods are safe for concurrent use.
+// Store is a report store: crash-safe and persisted over one directory when
+// opened with Open, memory-only when opened with OpenMemory. All methods are
+// safe for concurrent use.
 type Store struct {
 	mu   sync.RWMutex
 	dir  string
 	path string
 	opts Options
 
-	f      *os.File
+	f      *os.File // nil in a memory store
 	size   int64
 	recs   []*Record // ascending Seq
 	last   int64
@@ -167,6 +169,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// OpenMemory returns a store that keeps its records in memory only: no
+// segment file and no fsync. Append, Query, retention and cursors behave as
+// in a durable store; Options.NoSync is moot and nothing survives the process.
+func OpenMemory(opts Options) *Store {
+	return &Store{opts: opts}
 }
 
 // replay scans the segment, indexes every intact record, and truncates the
@@ -237,10 +246,11 @@ func encodeFrame(dst []byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// Append durably persists one record and returns its sequence number. A
+// Append stores one record and returns its sequence number. A
 // caller-provided Seq greater than the store's last is adopted (the serve
-// layer owns the sequence); otherwise the store assigns last+1. When Append
-// returns nil the record has been fsynced: it survives kill -9.
+// layer owns the sequence); otherwise the store assigns last+1. In a durable
+// store, when Append returns nil the record has been fsynced: it survives
+// kill -9.
 func (s *Store) Append(rec *Record) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,20 +263,22 @@ func (s *Store) Append(rec *Record) (int64, error) {
 		s.last++
 		rec.Seq = s.last
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return 0, fmt.Errorf("reportstore: encode record: %w", err)
-	}
-	frame := encodeFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
-	if _, err := s.f.Write(frame); err != nil {
-		return 0, fmt.Errorf("reportstore: append record: %w", err)
-	}
-	if !s.opts.NoSync {
-		if err := s.f.Sync(); err != nil {
-			return 0, fmt.Errorf("reportstore: sync segment: %w", err)
+	if s.f != nil {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return 0, fmt.Errorf("reportstore: encode record: %w", err)
 		}
+		frame := encodeFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
+		if _, err := s.f.Write(frame); err != nil {
+			return 0, fmt.Errorf("reportstore: append record: %w", err)
+		}
+		if !s.opts.NoSync {
+			if err := s.f.Sync(); err != nil {
+				return 0, fmt.Errorf("reportstore: sync segment: %w", err)
+			}
+		}
+		s.size += int64(len(frame))
 	}
-	s.size += int64(len(frame))
 	s.recs = append(s.recs, rec)
 	s.appends++
 	if s.opts.MaxRecords > 0 && len(s.recs) > s.opts.MaxRecords+s.opts.MaxRecords/4 {
@@ -279,11 +291,24 @@ func (s *Store) Append(rec *Record) (int64, error) {
 	return rec.Seq, nil
 }
 
-// compactLocked rewrites the segment keeping the newest MaxRecords records,
-// via a temp file and an atomic rename so a crash mid-compaction leaves the
-// previous segment intact. Callers hold s.mu.
+// compactLocked drops all but the newest MaxRecords records. Callers hold
+// s.mu.
 func (s *Store) compactLocked() error {
 	keep := s.recs[len(s.recs)-s.opts.MaxRecords:]
+	if s.f != nil {
+		if err := s.rewriteLocked(keep); err != nil {
+			return err
+		}
+	}
+	s.recs = append(s.recs[:0], keep...)
+	s.compactions++
+	return nil
+}
+
+// rewriteLocked replaces the segment with one holding only keep, via a temp
+// file and an atomic rename so a crash mid-compaction leaves the previous
+// segment intact. Callers hold s.mu.
+func (s *Store) rewriteLocked(keep []*Record) error {
 	tmp, err := os.CreateTemp(s.dir, ".reports-seg-*")
 	if err != nil {
 		return err
@@ -321,8 +346,6 @@ func (s *Store) compactLocked() error {
 	s.f.Close()
 	s.f = f
 	s.size = int64(len(buf))
-	s.recs = append(s.recs[:0], keep...)
-	s.compactions++
 	return nil
 }
 
@@ -350,7 +373,7 @@ func (s *Store) Query(q Query) (*Page, error) {
 	page := &Page{}
 	for ; i < len(s.recs); i++ {
 		rec := s.recs[i]
-		if !q.Matches(rec) {
+		if !q.matches(rec) {
 			continue
 		}
 		if len(page.Records) == limit {
@@ -364,10 +387,9 @@ func (s *Store) Query(q Query) (*Page, error) {
 	return page, nil
 }
 
-// Matches reports whether rec passes every set filter (Seq cursors are the
-// caller's concern; only the field filters apply). Exported so the serve
-// layer's ring fallback shares the store's exact search semantics.
-func (q Query) Matches(rec *Record) bool {
+// matches reports whether rec passes every set filter (Seq cursors are the
+// caller's concern; only the field filters apply).
+func (q Query) matches(rec *Record) bool {
 	if q.Entity != "" && rec.Entity != q.Entity {
 		return false
 	}
@@ -434,6 +456,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	if s.f == nil {
+		return nil
+	}
 	if !s.opts.NoSync {
 		if err := s.f.Sync(); err != nil {
 			s.f.Close()

@@ -31,8 +31,36 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	return st
 }
 
+// storeModes are the two kinds of store. Every behaviour other than
+// persistence — sequencing, filters, cursors, retention — must be identical
+// across them, so those tests run once per mode.
+var storeModes = []struct {
+	name string
+	open func(t *testing.T, opts Options) *Store
+}{
+	{"durable", func(t *testing.T, opts Options) *Store { return mustOpen(t, t.TempDir(), opts) }},
+	{"memory", func(t *testing.T, opts Options) *Store {
+		st := OpenMemory(opts)
+		t.Cleanup(func() { st.Close() })
+		return st
+	}},
+}
+
+// forEachMode runs fn as one subtest per store mode.
+func forEachMode(t *testing.T, fn func(t *testing.T, open func(Options) *Store)) {
+	for _, mode := range storeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			fn(t, func(opts Options) *Store { return mode.open(t, opts) })
+		})
+	}
+}
+
 func TestAppendAssignsMonotonicSeqs(t *testing.T) {
-	st := mustOpen(t, t.TempDir(), Options{})
+	forEachMode(t, testAppendAssignsMonotonicSeqs)
+}
+
+func testAppendAssignsMonotonicSeqs(t *testing.T, open func(Options) *Store) {
+	st := open(Options{})
 	for i := 0; i < 10; i++ {
 		seq, err := st.Append(testRecord(i))
 		if err != nil {
@@ -152,8 +180,24 @@ func TestCorruptTailCRCDropped(t *testing.T) {
 }
 
 func TestRetentionCompaction(t *testing.T) {
+	forEachMode(t, func(t *testing.T, open func(Options) *Store) {
+		checkRetention(t, open(Options{MaxRecords: 100, NoSync: true}))
+	})
+	// The compacted segment survives reopen with identical contents.
 	dir := t.TempDir()
 	st := mustOpen(t, dir, Options{MaxRecords: 100, NoSync: true})
+	stats := checkRetention(t, st)
+	st.Close()
+	re := mustOpen(t, dir, Options{MaxRecords: 100})
+	if re.Len() != stats.Records || re.LastSeq() != 1000 {
+		t.Fatalf("reopen: %d records last %d, want %d last 1000", re.Len(), re.LastSeq(), stats.Records)
+	}
+}
+
+// checkRetention appends 1000 records to a store capped at 100 and checks
+// that compaction kept exactly the newest, contiguous suffix.
+func checkRetention(t *testing.T, st *Store) Stats {
+	t.Helper()
 	for i := 0; i < 1000; i++ {
 		if _, err := st.Append(testRecord(i)); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
@@ -177,16 +221,15 @@ func TestRetentionCompaction(t *testing.T) {
 	if last := page.Records[len(page.Records)-1].Seq; last != 1000 {
 		t.Fatalf("last seq %d, want 1000", last)
 	}
-	// The compacted segment survives reopen with identical contents.
-	st.Close()
-	re := mustOpen(t, dir, Options{MaxRecords: 100})
-	if re.Len() != stats.Records || re.LastSeq() != 1000 {
-		t.Fatalf("reopen: %d records last %d, want %d last 1000", re.Len(), re.LastSeq(), stats.Records)
-	}
+	return stats
 }
 
 func TestQueryFilters(t *testing.T) {
-	st := mustOpen(t, t.TempDir(), Options{NoSync: true})
+	forEachMode(t, testQueryFilters)
+}
+
+func testQueryFilters(t *testing.T, open func(Options) *Store) {
+	st := open(Options{NoSync: true})
 	for i := 0; i < 60; i++ {
 		if _, err := st.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
@@ -226,7 +269,11 @@ func TestQueryFilters(t *testing.T) {
 }
 
 func TestPaginationWalksEverything(t *testing.T) {
-	st := mustOpen(t, t.TempDir(), Options{NoSync: true})
+	forEachMode(t, testPaginationWalksEverything)
+}
+
+func testPaginationWalksEverything(t *testing.T, open func(Options) *Store) {
+	st := open(Options{NoSync: true})
 	const n = 257
 	for i := 0; i < n; i++ {
 		if _, err := st.Append(testRecord(i)); err != nil {
@@ -288,7 +335,11 @@ func TestCursorRoundTripAndRejects(t *testing.T) {
 // Every record that existed when the walk began must be seen exactly once, in
 // order, regardless of interleaved ingest.
 func TestPaginate10kUnderConcurrentIngest(t *testing.T) {
-	st := mustOpen(t, t.TempDir(), Options{NoSync: true})
+	forEachMode(t, testPaginate10kUnderConcurrentIngest)
+}
+
+func testPaginate10kUnderConcurrentIngest(t *testing.T, open func(Options) *Store) {
+	st := open(Options{NoSync: true})
 	const preload = 10_000
 	for i := 0; i < preload; i++ {
 		if _, err := st.Append(testRecord(i)); err != nil {
@@ -346,7 +397,11 @@ func TestPaginate10kUnderConcurrentIngest(t *testing.T) {
 // ascending and duplicate-free, and the retained suffix always ends at the
 // newest acknowledged seq.
 func TestCompactionConsistentUnderConcurrency(t *testing.T) {
-	st := mustOpen(t, t.TempDir(), Options{MaxRecords: 200, NoSync: true})
+	forEachMode(t, testCompactionConsistentUnderConcurrency)
+}
+
+func testCompactionConsistentUnderConcurrency(t *testing.T, open func(Options) *Store) {
+	st := open(Options{MaxRecords: 200, NoSync: true})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -428,12 +483,63 @@ func TestPayloadRoundTrip(t *testing.T) {
 }
 
 func TestClosedStoreRejects(t *testing.T) {
-	st := mustOpen(t, t.TempDir(), Options{})
-	st.Close()
-	if _, err := st.Append(testRecord(0)); err != ErrClosed {
-		t.Fatalf("Append after close: %v, want ErrClosed", err)
+	forEachMode(t, func(t *testing.T, open func(Options) *Store) {
+		st := open(Options{})
+		st.Close()
+		if _, err := st.Append(testRecord(0)); err != ErrClosed {
+			t.Fatalf("Append after close: %v, want ErrClosed", err)
+		}
+		if _, err := st.Query(Query{}); err != ErrClosed {
+			t.Fatalf("Query after close: %v, want ErrClosed", err)
+		}
+	})
+}
+
+// TestModesServeIdenticalPages feeds the same appends to a durable and a
+// memory store under the same retention cap and requires every page of a
+// filtered cursor walk to be identical between them.
+func TestModesServeIdenticalPages(t *testing.T) {
+	opts := Options{MaxRecords: 40, NoSync: true}
+	durable := mustOpen(t, t.TempDir(), opts)
+	memory := OpenMemory(opts)
+	defer memory.Close()
+	for i := 0; i < 300; i++ {
+		for _, st := range []*Store{durable, memory} {
+			if _, err := st.Append(testRecord(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := st.Query(Query{}); err != ErrClosed {
-		t.Fatalf("Query after close: %v, want ErrClosed", err)
+	if d, m := durable.Stats().Compactions, memory.Stats().Compactions; d == 0 || d != m {
+		t.Fatalf("compactions: durable %d, memory %d; want equal and > 0", d, m)
+	}
+	queries := []Query{
+		{Limit: 7},
+		{Entity: "svc-2", Limit: 3},
+		{Cause: "cause-4", Limit: 2},
+		{Source: "detector", SinceSeq: 280, Limit: 5},
+	}
+	for _, q := range queries {
+		dq, mq := q, q
+		for pages := 0; ; pages++ {
+			dp, err := durable.Query(dq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mp, err := memory.Query(mq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dj, _ := json.Marshal(dp)
+			mj, _ := json.Marshal(mp)
+			if string(dj) != string(mj) {
+				t.Fatalf("query %+v page %d differs:\ndurable %s\nmemory  %s", q, pages, dj, mj)
+			}
+			if dp.NextCursor == "" {
+				break
+			}
+			dq.AfterSeq, _ = ParseCursor(dp.NextCursor)
+			mq.AfterSeq, _ = ParseCursor(mp.NextCursor)
+		}
 	}
 }

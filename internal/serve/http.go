@@ -264,7 +264,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, rec)
 	case <-r.Context().Done():
 		// The client went away; the worker still completes the job into the
-		// report ring (the buffered result channel absorbs the record).
+		// report store (the buffered result channel absorbs the record).
 		writeErr(w, http.StatusRequestTimeout, "client cancelled while waiting for diagnosis")
 	}
 }

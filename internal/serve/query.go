@@ -1,7 +1,6 @@
 // The daemon's operator query surface: GET /topology (relationship-graph
 // neighborhoods), GET /entities/{ref}/performance (sliding-window summaries),
-// and GET /reports (search over the persisted report store, or the in-memory
-// ring when no store is configured). All three ride the same admission and
+// and GET /reports (search over the report store). All three ride the same admission and
 // drain lifecycle as the write path: a draining daemon answers 503, and a
 // bounded read semaphore sheds excess concurrency with 429 + Retry-After
 // instead of letting queries pile onto a busy daemon.
@@ -145,10 +144,9 @@ func (s *Server) handleEntityPerf(w http.ResponseWriter, r *http.Request) {
 
 // handleReports serves GET /reports: a paginated search over completed
 // diagnosis reports by entity, app, certified cause, source, and completion
-// time range. With Config.ReportDir the persisted store (surviving restarts
-// and ring eviction) is the source; otherwise the in-memory ring answers with
-// identical semantics. ?since= accepts either a sequence number (the legacy
-// ring protocol) or an RFC3339 timestamp; anything else is a 400.
+// time range, answered by the report store (durable with Config.ReportDir,
+// memory-only without; the search semantics are the same). ?since= accepts
+// either a sequence number or an RFC3339 timestamp; anything else is a 400.
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only")
@@ -164,29 +162,24 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var page *ReportPage
-	if s.store != nil {
-		sp, err := s.store.Query(q)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "report store: "+err.Error())
-			return
-		}
-		page = &ReportPage{NextCursor: sp.NextCursor}
-		for _, rec := range sp.Records {
-			payload := rec.Payload
-			if len(payload) == 0 {
-				// A record without an embedded wire payload (not produced by
-				// this daemon) still serves its indexed fields.
-				buf, err := json.Marshal(rec)
-				if err != nil {
-					continue
-				}
-				payload = buf
+	sp, err := s.store.Query(q)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "report store: "+err.Error())
+		return
+	}
+	page := &ReportPage{NextCursor: sp.NextCursor}
+	for _, rec := range sp.Records {
+		payload := rec.Payload
+		if len(payload) == 0 {
+			// A record without an embedded wire payload (not produced by
+			// this daemon) still serves its indexed fields.
+			buf, err := json.Marshal(rec)
+			if err != nil {
+				continue
 			}
-			page.Reports = append(page.Reports, payload)
+			payload = buf
 		}
-	} else {
-		page = s.ringQuery(q)
+		page.Reports = append(page.Reports, payload)
 	}
 	page.Count = len(page.Reports)
 	s.rec.Add(obs.CtrReportQueries, 1)
@@ -239,42 +232,4 @@ func parseReportQuery(vals url.Values) (reportstore.Query, error) {
 		q.AfterSeq = after
 	}
 	return q, nil
-}
-
-// ringQuery answers a report search from the in-memory ring with the same
-// filter and pagination semantics as the persisted store.
-func (s *Server) ringQuery(q reportstore.Query) *ReportPage {
-	s.mu.Lock()
-	recs := append([]*ReportRecord(nil), s.reports...)
-	s.mu.Unlock()
-	limit := q.Limit
-	if limit <= 0 {
-		limit = reportstore.DefaultLimit
-	}
-	if limit > reportstore.MaxLimit {
-		limit = reportstore.MaxLimit
-	}
-	after := q.AfterSeq
-	if q.SinceSeq > after {
-		after = q.SinceSeq
-	}
-	page := &ReportPage{}
-	var lastSeq int64
-	for _, rec := range recs {
-		if int64(rec.Seq) <= after {
-			continue
-		}
-		srec := s.storeRecord(rec)
-		if srec == nil || !q.Matches(srec) {
-			continue
-		}
-		if len(page.Reports) == limit {
-			// A further match exists, so the page is full, not exhausted.
-			page.NextCursor = reportstore.Cursor(lastSeq)
-			return page
-		}
-		page.Reports = append(page.Reports, srec.Payload)
-		lastSeq = srec.Seq
-	}
-	return page
 }

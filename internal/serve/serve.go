@@ -124,19 +124,15 @@ type Config struct {
 	// DrainTimeout bounds how long Drain waits for in-flight work before
 	// force-cancelling it (default 30 s).
 	DrainTimeout time.Duration
-	// ReportBuffer is how many completed reports the in-memory ring keeps
-	// for the query API (default 128). With ReportDir set the ring remains
-	// as the snapshot-embedded hot cache; the persisted store is the query
-	// source.
-	ReportBuffer int
 	// ReportDir, when set, persists every completed report to an append-only
-	// crash-safe segment store under the directory; GET /reports then
-	// searches the store (entity/app/cause/time-range, paginated) instead of
-	// the ring, and a diagnosis is acknowledged to its client only after the
-	// durable append. "" keeps the ring-only behavior.
+	// crash-safe segment store under the directory, and a diagnosis is
+	// acknowledged to its client only after the durable append. "" keeps
+	// reports in a memory-only store that does not survive the process.
+	// Either way GET /reports searches the store (entity/app/cause/time
+	// range, paginated).
 	ReportDir string
-	// ReportRetention caps the records the persisted store keeps (default
-	// 10000); older records are compacted away. Ignored without ReportDir.
+	// ReportRetention caps the records the report store keeps (default
+	// 10000); older records are compacted away.
 	ReportRetention int
 	// MaxConcurrentReads is the admission limit on simultaneously served
 	// read queries — topology, per-entity performance, report search
@@ -183,9 +179,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.ReportBuffer <= 0 {
-		c.ReportBuffer = 128
-	}
 	if c.ReportRetention <= 0 {
 		c.ReportRetention = 10000
 	}
@@ -207,7 +200,7 @@ type job struct {
 }
 
 // ReportRecord is one completed (or failed) diagnosis as stored in the
-// report ring and served by the query API.
+// report store and served by the query API.
 type ReportRecord struct {
 	// Seq is the monotonically increasing completion sequence number.
 	Seq int `json:"seq"`
@@ -251,16 +244,15 @@ type Server struct {
 	readSem   chan struct{}
 	wg        sync.WaitGroup
 
-	// store is the persisted report store (nil without Config.ReportDir).
-	// Appends happen under mu so records land in seq order; queries go
-	// straight to the store's own lock.
+	// store holds every completed report: durable with Config.ReportDir,
+	// memory-only without. Appends happen under mu so records land in seq
+	// order; queries go straight to the store's own lock.
 	store *reportstore.Store
 
 	started time.Time
 
 	mu          sync.Mutex
 	seq         int
-	reports     []*ReportRecord // ring, oldest first, ≤ cfg.ReportBuffer
 	pending     map[telemetry.Symptom]bool
 	quarantine  map[telemetry.Symptom]time.Time
 	recent      map[telemetry.Symptom]time.Time
@@ -305,8 +297,11 @@ func New(db *telemetry.DB, cfg Config, sysOpts ...murphy.Option) (*Server, error
 		recent:      make(map[telemetry.Symptom]time.Time),
 		lastScanned: -1,
 	}
-	if cfg.ReportDir != "" {
-		store, err := reportstore.Open(cfg.ReportDir, reportstore.Options{MaxRecords: cfg.ReportRetention})
+	storeOpts := reportstore.Options{MaxRecords: cfg.ReportRetention}
+	if cfg.ReportDir == "" {
+		s.store = reportstore.OpenMemory(storeOpts)
+	} else {
+		store, err := reportstore.Open(cfg.ReportDir, storeOpts)
 		if err != nil {
 			cancel()
 			return nil, fmt.Errorf("serve: open report store: %w", err)
@@ -320,7 +315,7 @@ func New(db *telemetry.DB, cfg Config, sysOpts ...murphy.Option) (*Server, error
 	return s, nil
 }
 
-// ReportStore exposes the persisted report store (nil without
+// ReportStore exposes the report store (memory-only without
 // Config.ReportDir); tests and the CLI use it to inspect durability.
 func (s *Server) ReportStore() *reportstore.Store { return s.store }
 
@@ -464,18 +459,36 @@ func (s *Server) runJob(j *job) {
 			reason = ErrDrainCancelled.Error()
 		}
 		rec.Err = reason
-		rec.Report = &murphy.Report{
-			SchemaVersion: murphy.SchemaVersion,
-			Symptom:       j.symptom,
-			Partial:       true,
-			Skipped:       []murphy.Skipped{{Entity: j.symptom.Entity, Reason: reason}},
-		}
+		rec.Report = partialReport(j.symptom, reason)
 	}
 	s.complete(j, rec, elapsed)
 }
 
-// complete stamps, stores, and delivers one finished record. With a persisted
-// store configured the record is durably appended (fsync) before it is
+// partialReport is the shell answering a diagnosis that certified nothing:
+// Partial, with the reason annotated as the symptom entity's Skipped entry.
+func partialReport(sym telemetry.Symptom, reason string) *murphy.Report {
+	return &murphy.Report{
+		SchemaVersion: murphy.SchemaVersion,
+		Symptom:       sym,
+		Partial:       true,
+		Skipped:       []murphy.Skipped{{Entity: sym.Entity, Reason: reason}},
+	}
+}
+
+// cancelledRecord answers a queued job that never ran because the daemon
+// stopped first.
+func cancelledRecord(j *job) *ReportRecord {
+	reason := ErrDrainCancelled.Error()
+	return &ReportRecord{
+		Source:  j.source,
+		Symptom: j.symptom,
+		Err:     reason,
+		Report:  partialReport(j.symptom, reason),
+	}
+}
+
+// complete stamps, stores, and delivers one finished record. With
+// Config.ReportDir the record is durably appended (fsync) before it is
 // delivered to the waiting client — an HTTP 200 on /diagnose therefore
 // implies the report survives kill -9.
 func (s *Server) complete(j *job, rec *ReportRecord, elapsed time.Duration) {
@@ -484,10 +497,6 @@ func (s *Server) complete(j *job, rec *ReportRecord, elapsed time.Duration) {
 	s.seq++
 	rec.Seq = s.seq
 	rec.CompletedAt = time.Now().UTC()
-	s.reports = append(s.reports, rec)
-	if len(s.reports) > s.cfg.ReportBuffer {
-		s.reports = s.reports[len(s.reports)-s.cfg.ReportBuffer:]
-	}
 	ms := float64(elapsed) / float64(time.Millisecond)
 	if s.ewmaMs == 0 {
 		s.ewmaMs = ms
@@ -499,18 +508,17 @@ func (s *Server) complete(j *job, rec *ReportRecord, elapsed time.Duration) {
 		s.recent[j.symptom] = time.Now()
 	}
 	s.dirty = true
-	if s.store != nil {
-		// Persist under mu: seq assignment and the append share the lock, so
-		// the segment stays in seq order across concurrent workers. The
-		// fsync costs ~1ms — noise next to the diagnosis it concludes.
-		if srec := s.storeRecord(rec); srec != nil {
-			if _, err := s.store.Append(srec); err == nil {
-				s.rec.Add(obs.CtrReportsPersisted, 1)
-			}
-			// An append error (disk full, store closed mid-shutdown) keeps
-			// the report in the ring; the reports_persisted counter falling
-			// behind diag_completed is the operator signal.
+	// Store under mu: seq assignment and the append share the lock, so the
+	// store stays in seq order across concurrent workers. A durable append's
+	// fsync costs ~1ms — noise next to the diagnosis it concludes.
+	if srec := s.storeRecord(rec); srec != nil {
+		if _, err := s.store.Append(srec); err == nil && s.cfg.ReportDir != "" {
+			s.rec.Add(obs.CtrReportsPersisted, 1)
 		}
+		// An append error (disk full, store closed mid-shutdown) still
+		// answers the waiting client but leaves the report out of /reports;
+		// reports_persisted falling behind diag_completed is the operator
+		// signal.
 	}
 	s.mu.Unlock()
 	if j.result != nil {
@@ -622,7 +630,7 @@ func (s *Server) admitDetected(sym telemetry.Symptom) bool {
 // diagnosis answer 503, readiness flips), queued and in-flight diagnoses
 // finish within DrainTimeout (then are force-cancelled into partial
 // reports), loops stop, and — when persistence is configured — a final
-// state snapshot flushes the report ring to disk. It is idempotent; the
+// state snapshot is written and the report store closed. It is idempotent; the
 // daemon ends in StateStopped with every goroutine joined.
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.state.CompareAndSwap(int32(StateReady), int32(StateDraining)) {
@@ -669,27 +677,15 @@ wait:
 	for {
 		select {
 		case j := <-s.queue:
-			s.complete(j, &ReportRecord{
-				Source:  j.source,
-				Symptom: j.symptom,
-				Err:     ErrDrainCancelled.Error(),
-				Report: &murphy.Report{
-					SchemaVersion: murphy.SchemaVersion,
-					Symptom:       j.symptom,
-					Partial:       true,
-					Skipped:       []murphy.Skipped{{Entity: j.symptom.Entity, Reason: ErrDrainCancelled.Error()}},
-				},
-			}, 0)
+			s.complete(j, cancelledRecord(j), 0)
 		default:
 			if s.cfg.SnapshotPath != "" {
 				if err := s.WriteSnapshot(); err != nil && drainErr == nil {
 					drainErr = fmt.Errorf("serve: final snapshot: %w", err)
 				}
 			}
-			if s.store != nil {
-				if err := s.store.Close(); err != nil && drainErr == nil {
-					drainErr = fmt.Errorf("serve: close report store: %w", err)
-				}
+			if err := s.store.Close(); err != nil && drainErr == nil {
+				drainErr = fmt.Errorf("serve: close report store: %w", err)
 			}
 			s.state.Store(int32(StateStopped))
 			return drainErr
@@ -712,14 +708,12 @@ func (s *Server) Close() {
 		select {
 		case j := <-s.queue:
 			if j.result != nil {
-				j.result <- &ReportRecord{Symptom: j.symptom, Err: ErrDrainCancelled.Error()}
+				j.result <- cancelledRecord(j)
 			}
 		default:
-			if s.store != nil {
-				// Every acknowledged report was already fsynced; closing just
-				// releases the handle.
-				_ = s.store.Close()
-			}
+			// A durable store fsynced every acknowledged report already;
+			// closing just releases the handle.
+			_ = s.store.Close()
 			s.state.Store(int32(StateStopped))
 			return
 		}

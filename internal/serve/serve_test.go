@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,7 @@ import (
 
 	"murphy"
 	"murphy/internal/microsim"
+	"murphy/internal/obs"
 	"murphy/internal/telemetry"
 )
 
@@ -304,11 +306,13 @@ func TestDrainFinishesInflightAndFlipsReadiness(t *testing.T) {
 func TestKillAndRestartRecoversSnapshotAndDiagnosis(t *testing.T) {
 	sc := newTestScenario(t)
 	state := filepath.Join(t.TempDir(), "state.json")
+	reportDir := filepath.Join(t.TempDir(), "reports")
 
 	// First life: serve one diagnosis, snapshot, then crash (Close, no
 	// drain, no final snapshot beyond the explicit one).
 	srv1 := newTestServer(t, sc, func(c *Config) {
 		c.SnapshotPath = state
+		c.ReportDir = reportDir
 	})
 	srv1.Start()
 	mux1 := srv1.Mux()
@@ -336,7 +340,7 @@ func TestKillAndRestartRecoversSnapshotAndDiagnosis(t *testing.T) {
 	mcfg := murphy.DefaultConfig()
 	mcfg.Samples = 150
 	mcfg.TrainWindow = 80
-	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1},
+	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1, ReportDir: reportDir},
 		murphy.WithConfig(mcfg), murphy.WithSeeds(sc.Symptom.Entity))
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +350,8 @@ func TestKillAndRestartRecoversSnapshotAndDiagnosis(t *testing.T) {
 	srv2.Start()
 	mux2 := srv2.Mux()
 
-	// The pre-kill report survived into the ring with its sequence number.
+	// The pre-kill report survived in the report store with its sequence
+	// number.
 	rw := get(mux2, "/reports")
 	ring := decodeReportPage(t, rw.Body.Bytes())
 	if len(ring) != 1 || ring[0].Seq != 1 || ring[0].Symptom != sc.Symptom {
@@ -466,5 +471,107 @@ func TestSnapshotRejectsNewerVersion(t *testing.T) {
 	}
 	if _, _, err := LoadSnapshot(path); err == nil || !strings.Contains(err.Error(), "newer") {
 		t.Fatalf("LoadSnapshot on newer version: err = %v, want version rejection", err)
+	}
+}
+
+// TestMemoryStoreServesReports boots a daemon without ReportDir: /reports
+// must answer from the memory-only store, and reports_persisted must stay 0
+// because nothing was durably appended.
+func TestMemoryStoreServesReports(t *testing.T) {
+	sc := newTestScenario(t)
+	srv := newTestServer(t, sc, nil)
+	srv.Start()
+	mux := srv.Mux()
+
+	w := post(t, mux, "/diagnose", DiagnoseRequest{Symptom: sc.Symptom})
+	if w.Code != http.StatusOK {
+		t.Fatalf("/diagnose = %d: %s", w.Code, w.Body.String())
+	}
+	got := decodeReportPage(t, get(mux, "/reports?entity="+url.QueryEscape(string(sc.Symptom.Entity))).Body.Bytes())
+	if len(got) != 1 || got[0].Seq != 1 || got[0].Symptom != sc.Symptom || got[0].Report == nil {
+		t.Fatalf("/reports = %+v, want the one completed report", got)
+	}
+	if st := srv.ReportStore().Stats(); st.Records != 1 || st.SegmentBytes != 0 {
+		t.Fatalf("report store stats = %+v, want one in-memory record and no segment", st)
+	}
+	if n := srv.rec.Counter(obs.CtrReportsPersisted); n != 0 {
+		t.Fatalf("reports_persisted = %d without ReportDir, want 0", n)
+	}
+}
+
+// TestCloseAnswersQueuedWaitersWithPartialReport queues an API diagnosis on
+// a daemon whose workers never start, then force-closes it: the waiting
+// client must get a 200 carrying a partial report shell, never a nil report.
+func TestCloseAnswersQueuedWaitersWithPartialReport(t *testing.T) {
+	sc := newTestScenario(t)
+	srv := newTestServer(t, sc, nil)
+	srv.state.Store(int32(StateReady)) // admit work without starting workers
+	mux := srv.Mux()
+
+	resCh := make(chan *httptest.ResponseRecorder, 1)
+	go func() { resCh <- post(t, mux, "/diagnose", DiagnoseRequest{Symptom: sc.Symptom}) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.queue) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("diagnosis never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+
+	w := <-resCh
+	if w.Code != http.StatusOK {
+		t.Fatalf("/diagnose after Close = %d: %s", w.Code, w.Body.String())
+	}
+	var rec ReportRecord
+	if err := json.Unmarshal(w.Body.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Report == nil {
+		t.Fatalf("Close answered a queued waiter with a nil report: %s", w.Body.String())
+	}
+	if !rec.Report.Partial || len(rec.Report.Skipped) != 1 || rec.Report.Skipped[0].Reason != ErrDrainCancelled.Error() {
+		t.Fatalf("report = %+v, want a partial shell skipped with %q", rec.Report, ErrDrainCancelled)
+	}
+	if rec.Err != ErrDrainCancelled.Error() || rec.Source != "api" || rec.Symptom != sc.Symptom {
+		t.Fatalf("record = %+v, want the api symptom annotated with %q", rec, ErrDrainCancelled)
+	}
+}
+
+// TestLegacySnapshotWithReportsLoads recovers a snapshot written when the
+// daemon still embedded its reports in the state file. It must load, and the
+// completion sequence must continue past the snapshot's.
+func TestLegacySnapshotWithReportsLoads(t *testing.T) {
+	db, restore, err := RecoverFromDisk(filepath.Join("testdata", "legacy_reports_snapshot.json"))
+	if err != nil {
+		t.Fatalf("recover legacy snapshot: %v", err)
+	}
+	if db == nil || db.Len() != 4 || !db.HasEntity("web") {
+		t.Fatalf("legacy snapshot database not recovered: %v", db)
+	}
+	srv, err := New(db, Config{QueueCap: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	restore(srv)
+	srv.Start()
+	mux := srv.Mux()
+
+	sym := telemetry.Symptom{Entity: "web", Metric: telemetry.MetricLatency, High: true}
+	w := post(t, mux, "/diagnose", DiagnoseRequest{Symptom: sym})
+	if w.Code != http.StatusOK {
+		t.Fatalf("/diagnose = %d: %s", w.Code, w.Body.String())
+	}
+	var rec ReportRecord
+	if err := json.Unmarshal(w.Body.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seq != 4 {
+		t.Fatalf("post-recovery report seq = %d, want 4 (continuing the snapshot's seq 3)", rec.Seq)
+	}
+	got := decodeReportPage(t, get(mux, "/reports").Body.Bytes())
+	if len(got) != 1 || got[0].Seq != 4 {
+		t.Fatalf("/reports = %+v, want only the new report (legacy snapshot reports are not replayed)", got)
 	}
 }

@@ -23,16 +23,17 @@ type quarantineEntry struct {
 }
 
 // daemonSnapshot is the crash-safe on-disk state: the monitoring database
-// (embedded in its own snapshot format), the report ring, the quarantine
-// list, and — when the system trains incrementally — the factor store's
-// sufficient statistics, so a restarted daemon resumes serving correct
-// diagnoses for pre-crash symptoms without retraining a single factor.
+// (embedded in its own snapshot format), the completion sequence, the
+// quarantine list, and — when the system trains incrementally — the factor
+// store's sufficient statistics, so a restarted daemon resumes serving
+// correct diagnoses for pre-crash symptoms without retraining a single
+// factor. Reports live in the report store, not here; snapshots written when
+// they did still carry a "reports" array, which decoding ignores.
 type daemonSnapshot struct {
 	Version    int               `json:"version"`
 	SavedAt    time.Time         `json:"saved_at"`
 	Seq        int               `json:"seq"`
 	DB         json.RawMessage   `json:"db"`
-	Reports    []*ReportRecord   `json:"reports,omitempty"`
 	Quarantine []quarantineEntry `json:"quarantine,omitempty"`
 	// FactorStore is the incremental trainer's serialized state (absent when
 	// the daemon trains full windows). It is self-validating on adoption: a
@@ -74,7 +75,6 @@ func (s *Server) WriteSnapshot() error {
 		SavedAt: time.Now().UTC(),
 		Seq:     s.seq,
 		DB:      json.RawMessage(dbBuf.Bytes()),
-		Reports: append([]*ReportRecord(nil), s.reports...),
 	}
 	snap.FactorStore = storeBuf
 	for sym, until := range s.quarantine {
@@ -137,9 +137,9 @@ func LoadSnapshot(path string) (*daemonSnapshot, *telemetry.DB, error) {
 	return &snap, db, nil
 }
 
-// Recover restores a daemon's serving state (report ring, sequence counter,
-// unexpired quarantine, and — when the system trains incrementally — the
-// factor store's staged statistics) from a snapshot previously read by
+// Recover restores a daemon's serving state (sequence counter, unexpired
+// quarantine, and — when the system trains incrementally — the factor
+// store's staged statistics) from a snapshot previously read by
 // LoadSnapshot. Call it after New, before Start.
 func (s *Server) Recover(snap *daemonSnapshot) {
 	if snap == nil {
@@ -151,10 +151,6 @@ func (s *Server) Recover(snap *daemonSnapshot) {
 		// New already advanced seq past the persisted report store's last
 		// record; only move forward, never rewind onto acknowledged seqs.
 		s.seq = snap.Seq
-	}
-	s.reports = append([]*ReportRecord(nil), snap.Reports...)
-	if len(s.reports) > s.cfg.ReportBuffer {
-		s.reports = s.reports[len(s.reports)-s.cfg.ReportBuffer:]
 	}
 	for _, q := range snap.Quarantine {
 		if q.Until.After(now) {

@@ -75,8 +75,6 @@ type System struct {
 	breaker *resilience.Breaker
 	rsrc    *resilience.Source
 	workers int
-	// trainWorkers bounds the training-pass worker pool (0 = follow workers).
-	trainWorkers int
 	// incStore, when set, reuses training work across Diagnose calls
 	// (WithIncrementalTraining): a repeat at the same slice hands back the
 	// stored factors, and a slid window slides per-factor sufficient
@@ -221,10 +219,9 @@ type BatchItem struct {
 }
 
 // DiagnoseBatch diagnoses several symptoms of one incident against a single
-// online-trained model: the MRF is trained once (on the pool configured by
-// WithParallelTraining) and every symptom then reuses it — along with the
-// model's shortest-path subgraph cache — instead of paying the per-call
-// retraining that separate Diagnose calls would. Per-symptom failures
+// online-trained model: the MRF is trained once (on the WithWorkers pool)
+// and every symptom then reuses it — along with the model's shortest-path
+// subgraph cache — instead of paying the per-call retraining that separate Diagnose calls would. Per-symptom failures
 // (unknown entity, cancellation mid-inference) land in the item's Err
 // without aborting the remaining symptoms; the call itself errors only when
 // training fails, since then no symptom can be answered. Reports are
@@ -252,12 +249,9 @@ func (s *System) DiagnoseBatch(ctx context.Context, symptoms []telemetry.Symptom
 
 // train fits the MRF through the configured read path.
 func (s *System) train(ctx context.Context) (*core.Model, error) {
-	opts := core.TrainOpts{Now: -1, Store: s.incStore, Obs: s.rec, Workers: s.trainWorkers}
-	if opts.Workers == 0 {
-		// Unset: a session that fans inference out across workers gets the
-		// same fan-out for its training fits.
-		opts.Workers = s.workers
-	}
+	// A session that fans inference out across workers gets the same
+	// fan-out for its training fits.
+	opts := core.TrainOpts{Now: -1, Store: s.incStore, Obs: s.rec, Workers: s.workers}
 	if plain, ok := s.src.(*telemetry.DB); !ok || plain != s.db {
 		// An interposed source (chaos, resilience, remote): route reads
 		// through it. The factor store is bypassed on this path.

@@ -249,6 +249,9 @@ func TestDiagnoseContextDeadlinePartial(t *testing.T) {
 	}
 }
 
+// TestWithWorkersMatchesSequential checks that WithWorkers, which fans out
+// both the training pass and the candidate tests, leaves every verdict
+// bit-identical to a serial session.
 func TestWithWorkersMatchesSequential(t *testing.T) {
 	symptom := demoSymptom()
 	seq, err := testSystem(t).Diagnose(symptom)
@@ -259,17 +262,7 @@ func TestWithWorkersMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Causes) != len(par.Causes) {
-		t.Fatalf("worker fan-out changed the result: %d vs %d causes", len(seq.Causes), len(par.Causes))
-	}
-	for i := range seq.Causes {
-		if seq.Causes[i].Entity != par.Causes[i].Entity {
-			t.Fatalf("cause %d differs: %s vs %s", i, seq.Causes[i].Entity, par.Causes[i].Entity)
-		}
-		if math.Abs(seq.Causes[i].Score-par.Causes[i].Score) > 1e-12 {
-			t.Fatalf("cause %d score differs: %v vs %v", i, seq.Causes[i].Score, par.Causes[i].Score)
-		}
-	}
+	sameReport(t, "workers=4", seq, par)
 }
 
 func TestWithResilienceRetryAbsorbsChaos(t *testing.T) {

@@ -1,8 +1,6 @@
 package murphy
 
 import (
-	"runtime"
-
 	"murphy/internal/core"
 	"murphy/internal/explain"
 	"murphy/internal/resilience"
@@ -46,7 +44,7 @@ type FactorStoreStats = core.FactorStoreStats
 func NewFactorStore() *FactorStore { return core.NewFactorStore() }
 
 // SamplerConfig bundles every knob of the batched Gibbs sampling kernel
-// (precision, chains, early stopping, scratch sizing); see WithSampler.
+// (precision, early stopping); see WithSampler.
 type SamplerConfig = core.SamplerConfig
 
 // Precision selects the floating-point width of the sampling kernel; see
@@ -97,10 +95,12 @@ func WithThresholds(th explain.Thresholds) Option {
 	return func(s *System) { s.th = th }
 }
 
-// WithWorkers fans candidate evaluations out over n workers per Diagnose
-// call. n <= 1 (including WithWorkers(0)) is valid and stays on the serial
-// code path — no goroutines, no channels; results are identical either way,
-// per the independently seeded samplers.
+// WithWorkers fans each Diagnose call out over n workers: candidate
+// evaluations, and the online training pass (per-series preprocessing and
+// per-factor ridge fits). n <= 1 (including WithWorkers(0)) is valid and
+// stays on the serial code path — no goroutines, no channels. Results are
+// bit-identical either way: every candidate's sampler is independently
+// seeded, and training has a deterministic job order with per-slot outputs.
 func WithWorkers(n int) Option {
 	return func(s *System) {
 		if n < 1 {
@@ -110,36 +110,15 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithParallelTraining fans the online training pass — per-series
-// preprocessing and per-factor ridge fits — out over n pool workers per
-// train. n <= 0 uses GOMAXPROCS. The trained model is bit-identical at any
-// worker count (deterministic job order, per-slot outputs), so this is purely
-// a latency knob; without it, training follows WithWorkers. The worker pool
-// composes with the factor store and honors context cancellation mid-pool.
-func WithParallelTraining(n int) Option {
-	return func(s *System) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		s.trainWorkers = n
-	}
-}
-
 // WithSampler configures the batched Gibbs sampling kernel in one bundle:
 //
 //   - Precision: PrecisionFloat64 (default, bit-identical to the original
 //     sampler) or PrecisionFloat32 (the fast path — several times the
 //     sampling throughput at float32 chain state).
-//   - Chains: split each counterfactual test's draws across k independent
-//     Gibbs chains with splitmix-derived RNG streams, run on up to
-//     min(k, GOMAXPROCS) goroutines. For a fixed k the verdicts are
-//     bit-identical at any goroutine count; 0 or 1 keeps the historical
-//     single-stream sampler.
 //   - EarlyStop / EarlyStopConfidence: sequential significance testing —
 //     draws arrive in batches through a streaming Welch t-test and stop as
 //     soon as the verdict at Alpha is decided with margin to spare
 //     (confidence 0 uses the 0.999 default).
-//   - ArenaSamples: pre-size the per-chain scratch vectors.
 //
 // Apply after WithConfig, which replaces the whole Config (its Sampler
 // field included).
