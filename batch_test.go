@@ -155,6 +155,24 @@ func TestDiagnoseBatchCancelled(t *testing.T) {
 	}
 }
 
+// TestWithParallelTrainingMatchesSerial is the facade-level determinism check
+// for pooled training: WithWorkers runs the online training pass on a worker
+// pool, and the verdicts must stay bit-identical to the serial pass at a small
+// pool and at a pool larger than the number of training jobs.
+func TestWithParallelTrainingMatchesSerial(t *testing.T) {
+	want, err := testSystem(t).Diagnose(demoSymptom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 64} {
+		got, err := testSystem(t, WithWorkers(n)).Diagnose(demoSymptom())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReport(t, fmt.Sprintf("parallel training workers=%d", n), want, got)
+	}
+}
+
 // TestWithWorkersZeroClamped verifies WithWorkers(0) degrades to the serial
 // path instead of panicking or spawning an unbounded pool.
 func TestWithWorkersZeroClamped(t *testing.T) {
