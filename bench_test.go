@@ -264,6 +264,32 @@ func BenchmarkCoreTrainOnline(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreTrainOnlineWindow2016 is the full retrain of the hotel-triage
+// regime: the contention scenario at 2100 steps, trained on a one-week
+// window (2016 five-minute slices). Allocations are reported because they,
+// not only time, drive the daemon's peak RSS.
+func BenchmarkCoreTrainOnlineWindow2016(b *testing.B) {
+	opts := microsim.DefaultContentionOptions()
+	opts.Steps = 2100
+	sc, err := microsim.Contention(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := graph.Build(sc.Result.DB, []telemetry.EntityID{sc.Symptom.Entity}, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := benchConfig()
+	cfg.TrainWindow = 2016
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCoreDiagnose(b *testing.B) {
 	m, sc := contentionModel(b, benchConfig())
 	b.ResetTimer()

@@ -93,7 +93,8 @@ func newSeriesState(raw []float64, lo int) *seriesState {
 	}
 	if len(st.nanAt) > 0 {
 		obsY := observedOnly(raw)
-		def := stats.Median(obsY)
+		med, mad := stats.MedianMAD(obsY, nil)
+		def := med
 		if def != def {
 			def = 0
 		}
@@ -104,10 +105,10 @@ func newSeriesState(raw []float64, lo int) *seriesState {
 		}
 		st.novel = len(obsY) < len(raw)/4
 		if st.novel {
-			obsY = st.win
+			med, mad = stats.MedianMAD(st.win, nil)
 		}
-		st.med = stats.Median(obsY)
-		st.madScale = 1.4826 * stats.MAD(obsY)
+		st.med = med
+		st.madScale = 1.4826 * mad
 	}
 	st.mom.Anchor(st.win)
 	st.sorted = stats.NewSortedWindow(st.win)

@@ -288,41 +288,10 @@ func TestIncrementalDegenerateSeries(t *testing.T) {
 // window is rebuilt (its placeholder fill is window-dependent), and every
 // factor targeting it takes the bit-exact refit path on every slide.
 func TestIncrementalDirtySeries(t *testing.T) {
-	db := chainDB(t, 340, 5, 42)
-	// Erase a stretch of front CPU inside the sliding range by rebuilding
-	// the DB without those observations.
-	rngDB := telemetry.NewDB(600)
-	for _, id := range []telemetry.EntityID{"client", "flow", "front", "back", "decoy"} {
-		e := db.Entity(id)
-		if e == nil {
-			t.Fatalf("missing entity %s", id)
-		}
-		if err := rngDB.AddEntity(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range [][2]telemetry.EntityID{
-		{"client", "flow"}, {"flow", "front"}, {"front", "back"}, {"decoy", "back"},
-	} {
-		if err := rngDB.Associate(p[0], p[1], telemetry.Bidirectional); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []telemetry.EntityID{"client", "flow", "front", "back", "decoy"} {
-		for _, name := range db.MetricNames(id) {
-			w := db.RawWindow(id, name, 0, db.Len())
-			for tt, v := range w {
-				if id == "front" && tt >= 290 && tt < 300 {
-					continue // the missing stretch
-				}
-				if v == v {
-					if err := rngDB.Observe(id, name, tt, v); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-	}
+	// Erase a stretch of front CPU inside the sliding range.
+	rngDB := dropObservations(t, chainDB(t, 340, 5, 42), func(id telemetry.EntityID, _ string, tt int) bool {
+		return id == "front" && tt >= 290 && tt < 300
+	})
 	g := chainGraph(t, rngDB)
 	cfg := testConfig()
 	store := NewFactorStore()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"murphy/internal/graph"
 	"murphy/internal/obs"
@@ -298,18 +299,21 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 	// observations get a placeholder (§4.2 edge cases); the placeholder is
 	// the metric's observed median — zero-filling would fabricate a step
 	// aligned with whenever observation began, which pollutes correlations.
-	// raws keeps the pre-fill copies so anomaly scoring can distinguish
-	// observed history from placeholders without a second read.
 	//
 	// Enumeration and raw reads stay serial: sources may be stateful (fault
 	// injectors, rate-limited collectors) and the order of recorded read
 	// failures is part of the model's contract. The pure per-series work —
-	// placeholder fill, centering for the Pearson ranking — fans out below.
+	// robust statistics, placeholder fill, centering for the Pearson
+	// ranking — fans out below.
 	type seriesPrep struct {
 		ref metricRef
-		raw []float64      // pre-fill copy (NaN = missing)
-		col []float64      // placeholder-filled training column
+		raw []float64      // the window as read (NaN = missing)
+		col []float64      // placeholder-filled training column (raw itself when nothing is missing)
 		ctr stats.Centered // centered view of col
+		// med/madScale/novel are the series' robust statistics as a factor
+		// target; see the anomaly-scoring rule in the prep pass.
+		med, madScale float64
+		novel         bool
 	}
 	var prep []*seriesPrep
 	for _, id := range g.IDs() {
@@ -329,28 +333,48 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 	workers := opts.Workers
 	if err := forEachIndex(ctx, workers, len(prep), func(i int) error {
 		p := prep[i]
-		p.col = append([]float64(nil), p.raw...)
-		def := stats.Median(observedOnly(p.raw))
-		if def != def {
-			def = 0 // nothing observed at all: the type default
+		obsY := p.raw
+		if hasMissing(p.raw) {
+			obsY = observedOnly(p.raw)
 		}
-		for t, v := range p.col {
-			if v != v {
-				p.col[t] = def
+		scratch := getScratch(n)
+		defer putScratch(scratch)
+		// One selection pass gives both the placeholder (the observed
+		// median) and the target's robust center and scale.
+		med, mad := stats.MedianMAD(obsY, *scratch)
+		p.col = p.raw
+		if len(obsY) < len(p.raw) {
+			def := med
+			if def != def {
+				def = 0 // nothing observed at all: the type default
+			}
+			p.col = append([]float64(nil), p.raw...)
+			for t, v := range p.col {
+				if v != v {
+					p.col[t] = def
+				}
 			}
 		}
+		// Anomaly scoring uses only actually-observed history: an entity
+		// whose past was never recorded (newly spawned, or the Table 2
+		// missing-values corruption) must be judged against what was seen,
+		// not against the training-time placeholders. The in-incident tail
+		// does not count as judgeable history: if everything observed is
+		// recent (post-erasure), normality cannot be certified, and the
+		// statistics fall back to the filled column.
+		if len(obsY) < n/4 {
+			p.novel = true
+			med, mad = stats.MedianMAD(p.col, *scratch)
+		}
+		p.med, p.madScale = med, 1.4826*mad
 		p.ctr = stats.Center(p.col)
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("core: training cancelled: %w", err)
 	}
-	windows := make(map[metricRef][]float64, len(prep))
-	raws := make(map[metricRef][]float64, len(prep))
-	centered := make(map[metricRef]*stats.Centered, len(prep))
+	series := make(map[metricRef]*seriesPrep, len(prep))
 	for _, p := range prep {
-		windows[p.ref] = p.col
-		raws[p.ref] = p.raw
-		centered[p.ref] = &p.ctr
+		series[p.ref] = p
 		m.current[p.ref] = p.col[len(p.col)-1]
 	}
 
@@ -379,7 +403,7 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		candCtr := make([]*stats.Centered, len(cand))
 		for i, c := range cand {
 			candKeys[i] = c.String()
-			candCtr[i] = centered[c]
+			candCtr[i] = &series[c].ctr
 		}
 		for _, name := range m.metricsOf[id] {
 			jobs = append(jobs, &fitJob{
@@ -392,28 +416,18 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 	if err := forEachIndex(ctx, workers, len(jobs), func(jid int) error {
 		job := jobs[jid]
 		ref := job.ref
-		y := windows[ref]
-		yctr := centered[ref]
+		target := series[ref]
+		y := target.col
+		yctr := &target.ctr
 		// The historical mean/std come from the centered view; the sum of
 		// squares was accumulated in MeanStd's order, so the bits match.
-		f := &factor{target: ref, hmean: yctr.Mean}
+		f := &factor{
+			target: ref, hmean: yctr.Mean,
+			med: target.med, madScale: target.madScale, novel: target.novel,
+		}
 		if len(y) >= 2 {
 			f.hstd = math.Sqrt(yctr.SumSq / float64(len(y)-1))
 		}
-		// Anomaly scoring uses only actually-observed history: an entity
-		// whose past was never recorded (newly spawned, or the Table 2
-		// missing-values corruption) must be judged against what was
-		// seen, not against the training-time placeholders.
-		obsY := observedOnly(raws[ref])
-		// The in-incident tail does not count as judgeable history: if
-		// everything observed is recent (post-erasure), normality cannot
-		// be certified.
-		if len(obsY) < n/4 {
-			f.novel = true
-			obsY = y
-		}
-		f.med = stats.Median(obsY)
-		f.madScale = 1.4826 * stats.MAD(obsY)
 		f.rscore = f.robustScoreAt(y[len(y)-1])
 		// Rank candidates by |corr| with the target — one dot product per
 		// pair over the precomputed centered columns; keep the top B
@@ -444,7 +458,7 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		f.features = feats
 		featCols := make([][]float64, len(feats))
 		for j, fr := range feats {
-			featCols[j] = windows[fr]
+			featCols[j] = series[fr].col
 		}
 		model := trainer()
 		// The training windows already are the design matrix's columns: a
@@ -612,6 +626,31 @@ func (m *Model) PredictMetric(id telemetry.EntityID, metric string) (float64, bo
 	}
 	return f.model.Predict(m.featureVector(f, m.current)), true
 }
+
+// hasMissing reports whether a raw window holds any NaN (missing) slice.
+func hasMissing(w []float64) bool {
+	for _, v := range w {
+		if v != v {
+			return true
+		}
+	}
+	return false
+}
+
+// scratchPool recycles the working buffers of the per-series robust
+// statistics, so a full retrain allocates none per series.
+var scratchPool sync.Pool
+
+func getScratch(n int) *[]float64 {
+	if b, ok := scratchPool.Get().(*[]float64); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]float64, n)
+	return &b
+}
+
+func putScratch(b *[]float64) { scratchPool.Put(b) }
 
 // observedOnly filters NaN (missing) observations out of a raw window.
 func observedOnly(w []float64) []float64 {

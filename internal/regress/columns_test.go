@@ -1,8 +1,10 @@
 package regress
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -122,5 +124,90 @@ func TestFitColumnsErrors(t *testing.T) {
 	}
 	if err := r.FitColumns([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
 		t.Error("ragged columns accepted")
+	}
+}
+
+// ridgeBitsDiffer describes the first bit difference between two fitted
+// ridges (coefficients, intercept, residual std), or returns "".
+func ridgeBitsDiffer(a, b *Ridge) string {
+	if len(a.coef) != len(b.coef) {
+		return fmt.Sprintf("%d coefficients vs %d", len(b.coef), len(a.coef))
+	}
+	for j := range a.coef {
+		if math.Float64bits(a.coef[j]) != math.Float64bits(b.coef[j]) {
+			return fmt.Sprintf("coef[%d] %v != %v", j, b.coef[j], a.coef[j])
+		}
+	}
+	if math.Float64bits(a.intercept) != math.Float64bits(b.intercept) {
+		return fmt.Sprintf("intercept %v != %v", b.intercept, a.intercept)
+	}
+	if math.Float64bits(a.resid) != math.Float64bits(b.resid) {
+		return fmt.Sprintf("resid %v != %v", b.resid, a.resid)
+	}
+	return ""
+}
+
+// TestFitColumnsConcurrentShapes runs FitColumns from 8 goroutines at once,
+// each on its own design shape, so the pooled design slabs are handed
+// between fits of different sizes. Every fit must match Fit on the
+// assembled rows bit for bit; run under -race it also checks that no two
+// fits share a slab.
+func TestFitColumnsConcurrentShapes(t *testing.T) {
+	type task struct {
+		cols [][]float64
+		y    []float64
+		want *Ridge
+	}
+	rng := rand.New(rand.NewSource(17))
+	shapes := [][2]int{{2016, 10}, {280, 3}, {17, 1}, {2016, 4}, {500, 7}, {64, 10}, {1000, 2}, {300, 5}}
+	tasks := make([]task, len(shapes))
+	for k, sh := range shapes {
+		n, p := sh[0], sh[1]
+		cols := make([][]float64, p)
+		for j := range cols {
+			cols[j] = make([]float64, n)
+			for i := range cols[j] {
+				cols[j][i] = rng.NormFloat64() * float64(1+j)
+			}
+		}
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = rng.NormFloat64() + 0.3*cols[0][i]
+		}
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = cols0Row(cols, i)
+		}
+		want := NewRidge(1)
+		if err := want.Fit(rows, y); err != nil {
+			t.Fatal(err)
+		}
+		tasks[k] = task{cols, y, want}
+	}
+	errs := make([]string, len(tasks))
+	var wg sync.WaitGroup
+	for k := range tasks {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			tk := tasks[k]
+			for rep := 0; rep < 20; rep++ {
+				got := NewRidge(1)
+				if err := got.FitColumns(tk.cols, tk.y); err != nil {
+					errs[k] = err.Error()
+					return
+				}
+				if d := ridgeBitsDiffer(tk.want, got); d != "" {
+					errs[k] = fmt.Sprintf("rep %d: %s", rep, d)
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	for k, e := range errs {
+		if e != "" {
+			t.Errorf("shape %v: %s", shapes[k], e)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"murphy/internal/mat"
 	"murphy/internal/stats"
@@ -232,21 +233,21 @@ func (r *Ridge) FitColumns(cols [][]float64, y []float64) error {
 		r.featMean[j], r.featStd[j] = m, s
 	}
 	ymean := stats.Mean(y)
-	zcols := make([][]float64, nFeat)
+	d := getDesign(nFeat, n)
+	zcols, yc := d.cols, d.yc
 	for j, c := range cols {
-		zc := make([]float64, n)
+		zc := zcols[j]
 		m, s := r.featMean[j], r.featStd[j]
 		for i, v := range c {
 			zc[i] = (v - m) / s
 		}
-		zcols[j] = zc
 	}
-	yc := make([]float64, n)
 	for i, v := range y {
 		yc[i] = v - ymean
 	}
 	g := mat.GramCols(zcols).AddDiag(r.Lambda + 1e-10)
 	zty := mat.MulVecCols(zcols, yc)
+	designPool.Put(d)
 	coef, err := mat.CholeskySolve(g, zty)
 	if err != nil {
 		coef, err = mat.Solve(g, zty)
@@ -275,6 +276,36 @@ func (r *Ridge) FitColumns(cols [][]float64, y []float64) error {
 	}
 	r.resid = s
 	return nil
+}
+
+// design is FitColumns' standardized design matrix: the z-scored feature
+// columns and the centered target, carved from one slab. The slab goes back
+// to designPool once the Gram and Z'y are formed, so a training pass reuses
+// a handful of slabs instead of allocating n×(B+1) values per factor.
+type design struct {
+	slab []float64
+	cols [][]float64
+	yc   []float64
+}
+
+var designPool sync.Pool
+
+func getDesign(nFeat, n int) *design {
+	d, _ := designPool.Get().(*design)
+	if d == nil {
+		d = &design{}
+	}
+	need := (nFeat + 1) * n
+	if cap(d.slab) < need {
+		d.slab = make([]float64, need)
+	}
+	d.slab = d.slab[:need]
+	d.cols = d.cols[:0]
+	for j := 0; j < nFeat; j++ {
+		d.cols = append(d.cols, d.slab[j*n:(j+1)*n:(j+1)*n])
+	}
+	d.yc = d.slab[nFeat*n:]
+	return d
 }
 
 // ResidualStd returns the training residual standard deviation.

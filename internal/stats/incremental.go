@@ -129,10 +129,10 @@ func (m *WindowMoments) Recenter() float64 {
 
 // SortedWindow keeps an ascending copy of a sliding window so the robust
 // per-factor statistics stay cheap as the window slides: Median is O(1),
-// MAD is O(n) (a two-pointer walk instead of the sort-twice full
-// computation), and each slide costs one binary-search insert plus one
-// delete (an O(n) memmove each). Both Median and MAD are bit-identical to
-// stats.Median / stats.MAD on the same multiset.
+// MAD is O(n) (a two-pointer walk, no selection pass), and each slide costs
+// one binary-search insert plus one delete (an O(n) memmove each). Both
+// Median and MAD are bit-identical to stats.Median / stats.MAD on the same
+// multiset.
 type SortedWindow struct {
 	vals []float64
 }
@@ -169,15 +169,10 @@ func (w *SortedWindow) Remove(x float64) {
 // Median returns the nearest-rank sample median, bit-identical to
 // stats.Median on the same values. Empty input yields NaN.
 func (w *SortedWindow) Median() float64 {
-	n := len(w.vals)
-	if n == 0 {
+	if len(w.vals) == 0 {
 		return math.NaN()
 	}
-	i := int(math.Ceil(0.5*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return w.vals[i]
+	return w.vals[rankIndex(0.5, len(w.vals))]
 }
 
 // MAD returns the median absolute deviation around the median, bit-identical
@@ -192,13 +187,9 @@ func (w *SortedWindow) MAD() float64 {
 	if n == 0 {
 		return math.NaN()
 	}
-	med := w.Median()
-	k := int(math.Ceil(0.5*float64(n))) - 1
-	if k < 0 {
-		k = 0
-	}
-	pm := int(math.Ceil(0.5*float64(n))) - 1
-	l, r := pm, pm+1
+	k := rankIndex(0.5, n)
+	med := w.vals[k]
+	l, r := k, k+1
 	dev := 0.0
 	for taken := 0; taken <= k; taken++ {
 		dl, dr := math.Inf(1), math.Inf(1)

@@ -421,30 +421,26 @@ func (e *ECDF) At(x float64) float64 {
 
 // Quantile returns the q-th sample quantile, q in [0, 1], by nearest-rank.
 func (e *ECDF) Quantile(q float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
+	if len(e.sorted) == 0 {
 		return math.NaN()
 	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[n-1]
-	}
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
+	return e.sorted[rankIndex(q, len(e.sorted))]
 }
 
 // Len returns the sample size underlying the ECDF.
 func (e *ECDF) Len() int { return len(e.sorted) }
 
-// Quantile returns the q-th quantile of xs by nearest rank without building
-// an ECDF. xs is not modified.
+// Quantile returns the q-th quantile of xs by nearest rank, the value
+// NewECDF(xs).Quantile(q) returns, found by selection on a copy instead of a
+// sort. xs is not modified.
 func Quantile(xs []float64, q float64) float64 {
-	return NewECDF(xs).Quantile(q)
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	a := append([]float64(nil), xs...)
+	k := rankIndex(q, len(a))
+	selectKth(a, k)
+	return a[k]
 }
 
 // Median returns the sample median (nearest rank), or NaN for empty input.
@@ -453,15 +449,8 @@ func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 // MAD returns the median absolute deviation around the median, the robust
 // scale estimate used for anomaly ranking. Empty input yields NaN.
 func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - m)
-	}
-	return Median(dev)
+	_, mad := MedianMAD(xs, nil)
+	return mad
 }
 
 // RobustZ returns a robust z-score of x against hist: deviation from the
@@ -472,8 +461,8 @@ func RobustZ(x float64, hist []float64) float64 {
 	if len(hist) == 0 {
 		return 0
 	}
-	med := Median(hist)
-	scale := 1.4826 * MAD(hist)
+	med, mad := MedianMAD(hist, nil)
+	scale := 1.4826 * mad
 	var z float64
 	if scale == 0 {
 		z = ZScore(x, hist)
