@@ -717,3 +717,43 @@ func BenchmarkGibbsKernel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGibbsKernelEnterprise times the float64 kernel on the enterprise
+// incident-2 diagnosis (8 apps, window 300, 1000 samples, serial): ~120
+// candidates whose shortest-path plans read many off-path neighbours and
+// carry many steps that never reach the symptom, the shape the kernel's
+// fixed-term folding and dead-step elimination target.
+func BenchmarkGibbsKernelEnterprise(b *testing.B) {
+	gen := enterprise.DefaultGenOptions()
+	gen.Apps, gen.Hosts, gen.Steps = 8, 8, 320
+	env, inc, err := enterprise.RunIncident(gen, enterprise.ByIndex(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := graph.Build(env.DB, []telemetry.EntityID{inc.Symptom.Entity}, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Samples = 1000
+	cfg.TrainWindow = 300
+	rec := obs.New()
+	rec.Enable()
+	m, err := core.TrainOpt(context.Background(), env.DB, g, cfg, core.TrainOpts{Now: -1, Obs: rec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := rec.Counter(obs.CtrGibbsSamples)
+	b.ResetTimer()
+	t0 := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Diagnose(inc.Symptom); err != nil {
+			b.Fatal(err)
+		}
+	}
+	elapsed := time.Since(t0).Seconds()
+	b.StopTimer()
+	if elapsed > 0 {
+		b.ReportMetric(float64(rec.Counter(obs.CtrGibbsSamples)-start)/elapsed, "samples/sec")
+	}
+}

@@ -398,7 +398,7 @@ func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, pl
 		if err != nil {
 			return stats.TTestResult{}, 0, 0, err
 		}
-		cf := ar.draws(n)
+		cf := sized(&ar.cf, n)
 		copy(cf, out) // the factual pass below reuses the arena
 		f, err := m.runPass(ctx, plan, nil, ns, ar, n)
 		if err != nil {

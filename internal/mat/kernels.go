@@ -35,6 +35,19 @@ func AccumTerm(dst, src []float64, c, mean, std float64) {
 	}
 }
 
+// SetTerm writes one standardized regression term on top of a scalar across
+// a whole chain vector: dst[i] = v + c·(src[i]−mean)/std. It is Fill(dst, v)
+// followed by AccumTerm in one pass, with the same per-element arithmetic.
+func SetTerm(dst, src []float64, v, c, mean, std float64) {
+	if len(src) > len(dst) {
+		src = src[:len(dst)]
+	}
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = v + c*(x-mean)/std
+	}
+}
+
 // AddScaled32 adds w·src into dst element-wise: the float32 kernel's folded
 // form of a regression term (the mean and std are folded into w and the
 // step's bias ahead of time).
@@ -79,5 +92,13 @@ func Widen(dst []float64, src []float32) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		dst[i] = float64(x)
+	}
+}
+
+// AddConst adds v to every element of dst: a regression term whose feature
+// holds one value across the whole chain vector, computed once as a scalar.
+func AddConst(dst []float64, v float64) {
+	for i := range dst {
+		dst[i] += v
 	}
 }

@@ -124,6 +124,32 @@ func TestBlocked32Kernels(t *testing.T) {
 	}
 }
 
+// TestAddConstMatchesAccumTerm pins the pass-constant form of a term: adding
+// the scalar c·(x−mean)/std is bit-identical to AccumTerm over a vector
+// that holds x in every element.
+func TestAddConstMatchesAccumTerm(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(300)
+		c, mean, std := rng.NormFloat64()*3, rng.NormFloat64()*10, 0.1+rng.Float64()*5
+		x := rng.NormFloat64() * 7
+		src := make([]float64, n)
+		dst := make([]float64, n)
+		for i := range src {
+			src[i] = x
+			dst[i] = rng.NormFloat64()
+		}
+		want := append([]float64(nil), dst...)
+		AccumTerm(want, src, c, mean, std)
+		AddConst(dst, c*(x-mean)/std)
+		for i := range dst {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d elem %d: got %v want %v (not bit-identical)", trial, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
 // TestAccumTermLengthClamp documents the defensive clamp: mismatched lengths
 // apply only the overlapping prefix instead of panicking.
 func TestAccumTermLengthClamp(t *testing.T) {
@@ -136,5 +162,29 @@ func TestAccumTermLengthClamp(t *testing.T) {
 	AddScaled32(dst32, []float32{2, 2, 2}, 3)
 	if dst32[0] != 7 || dst32[1] != 7 {
 		t.Fatalf("got %v", dst32)
+	}
+}
+
+// TestSetTermMatchesFillAccum pins the fused fill-and-term kernel to the
+// Fill + AccumTerm pair it replaces, bit for bit.
+func TestSetTermMatchesFillAccum(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(300)
+		v, c, mean, std := rng.NormFloat64()*4, rng.NormFloat64()*3, rng.NormFloat64()*10, 0.1+rng.Float64()*5
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = rng.NormFloat64() * 7
+		}
+		want := make([]float64, n)
+		Fill(want, v)
+		AccumTerm(want, src, c, mean, std)
+		got := make([]float64, n)
+		SetTerm(got, src, v, c, mean, std)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d elem %d: got %v want %v (not bit-identical)", trial, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -161,6 +161,14 @@ func (s *NormSource) AddNoise32(dst []float32, scale float32) {
 	s.state = st
 }
 
+// SkipNoise32 advances the stream exactly as AddNoise32 on an n-element
+// vector would, without producing the noise: the ceil(n/2) raw draws are one
+// jump of the splitmix64 counter. The float32 kernel calls it for steps
+// whose output never reaches the symptom.
+func (s *NormSource) SkipNoise32(n int) {
+	s.state += uint64((n+1)/2) * 0x9e3779b97f4a7c15
+}
+
 // NormFloat64 returns the next standard-normal deviate of the stream.
 func (s *NormSource) NormFloat64() float64 {
 	for {

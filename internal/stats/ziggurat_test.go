@@ -132,3 +132,19 @@ func BenchmarkNormSource(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestSkipNoise32MatchesAddNoise32 pins the skip to the bulk noise call it
+// stands in for: after AddNoise32 on n elements or SkipNoise32(n), both
+// streams draw the same sequence, for even and odd n.
+func TestSkipNoise32MatchesAddNoise32(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 255, 256, 1000} {
+		a, b := NewNormSource(11), NewNormSource(11)
+		a.AddNoise32(make([]float32, n), 1)
+		b.SkipNoise32(n)
+		for i := 0; i < 100; i++ {
+			if x, y := a.NormFloat64(), b.NormFloat64(); x != y {
+				t.Fatalf("n=%d draw %d: %v after AddNoise32, %v after SkipNoise32", n, i, x, y)
+			}
+		}
+	}
+}
