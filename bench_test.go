@@ -13,6 +13,7 @@ package murphy_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"murphy/internal/regress"
 	"testing"
@@ -24,6 +25,7 @@ import (
 	"murphy/internal/harness"
 	"murphy/internal/microsim"
 	"murphy/internal/obs"
+	"murphy/internal/stats"
 	"murphy/internal/telemetry"
 )
 
@@ -756,4 +758,55 @@ func BenchmarkGibbsKernelEnterprise(b *testing.B) {
 	if elapsed > 0 {
 		b.ReportMetric(float64(rec.Counter(obs.CtrGibbsSamples)-start)/elapsed, "samples/sec")
 	}
+}
+
+// normSink keeps BenchmarkNormStream's noise vector observable.
+var normSink float64
+
+// BenchmarkNormStream times the float64 kernel's noise primitives on one
+// op of 1,000 steps × 1,000 draws (a step's noise at the default sample
+// count): adding scaled draws to a vector (a live step) and advancing past
+// them (a dead step). The stdlib arms are the original math/rand loops; the
+// source arms are stats.MathRandSource, which yields the same values.
+func BenchmarkNormStream(b *testing.B) {
+	const steps, n, seed, scale = 1000, 1000, 42, 0.3
+	dst := make([]float64, n)
+	b.Run("stdlib/add", func(b *testing.B) {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < steps; s++ {
+				for k := range dst {
+					dst[k] += r.NormFloat64() * scale
+				}
+			}
+		}
+		normSink = dst[0]
+	})
+	b.Run("stdlib/skip", func(b *testing.B) {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < steps; s++ {
+				for k := 0; k < n; k++ {
+					r.NormFloat64()
+				}
+			}
+		}
+	})
+	b.Run("source/add", func(b *testing.B) {
+		r := stats.NewMathRandSource(seed)
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < steps; s++ {
+				r.AddNoise(dst, scale)
+			}
+		}
+		normSink = dst[0]
+	})
+	b.Run("source/skip", func(b *testing.B) {
+		r := stats.NewMathRandSource(seed)
+		for i := 0; i < b.N; i++ {
+			for s := 0; s < steps; s++ {
+				r.SkipNorm(n)
+			}
+		}
+	})
 }

@@ -18,8 +18,10 @@
 //     holds k chain vectors, not one per slot of the model.
 //
 // Two arithmetic widths share the plan. The float64 path reproduces the
-// original per-sample sampler bit-for-bit: math/rand noise streams consumed
-// in the same order, and the term arithmetic c·(x−mean)/std applied in
+// original per-sample sampler bit-for-bit: its noise is math/rand's normal
+// stream, drawn through stats.MathRandSource (the same values, with the
+// generator inlined into the bulk add and skip loops) and consumed in the
+// same order, and the term arithmetic c·(x−mean)/std is applied in
 // Ridge.Predict's exact operation order (mat.AccumTerm, or the same scalar
 // expression for a pass-constant feature, added in the same position). The
 // float32 fast path folds each term to one multiply-add (w = c/std, means
@@ -32,7 +34,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 
 	"murphy/internal/mat"
@@ -353,11 +354,11 @@ func (st *planStep) fold32() {
 }
 
 // noiseStream is one sampling stream's noise source; exactly one field is
-// non-nil. The float64 kernel keeps *rand.Rand so its draw stream is
-// bit-identical to the original sampler's; the float32 kernel uses the
-// ziggurat source.
+// non-nil. The float64 kernel draws from stats.MathRandSource, whose stream
+// is bit-identical to the original sampler's math/rand stream; the float32
+// kernel uses the ziggurat source.
 type noiseStream struct {
-	r *rand.Rand
+	r *stats.MathRandSource
 	z *stats.NormSource
 }
 
@@ -366,7 +367,7 @@ func (m *Model) newStream(seed int64) noiseStream {
 	if m.cfg.Sampler.Precision == PrecisionFloat32 {
 		return noiseStream{z: stats.NewNormSource(seed)}
 	}
-	return noiseStream{r: rand.New(rand.NewSource(seed))}
+	return noiseStream{r: stats.NewMathRandSource(seed)}
 }
 
 // runPass runs one resampling pass of n draws — every chain vector through
@@ -388,7 +389,7 @@ func (m *Model) runPass(ctx context.Context, plan *pathPlan, ov *overrides, ns n
 	return m.runPass64(ctx, plan, ov, ns.r, ar, n)
 }
 
-func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rng *rand.Rand, ar *arena, n int) ([]float64, error) {
+func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rng *stats.MathRandSource, ar *arena, n int) ([]float64, error) {
 	base := m.base64()
 	vals := chainVecs(&ar.vals64, len(plan.vecs), n)
 	for k, s := range plan.vecs {
@@ -410,9 +411,7 @@ func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rn
 				// Dead: the output never reaches the symptom, but the draws
 				// stay so every live step's noise lands where it did.
 				if st.noise > 0 {
-					for i := 0; i < n; i++ {
-						rng.NormFloat64()
-					}
+					rng.SkipNorm(n)
 				}
 				continue
 			}
@@ -463,9 +462,7 @@ func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rn
 				// Batched after the fused accumulation: predictions consume
 				// no randomness, so draw i still lands on sample i — the
 				// same stream assignment as the per-sample loop.
-				for i := range out {
-					out[i] += rng.NormFloat64() * st.noise
-				}
+				rng.AddNoise(out, st.noise)
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"murphy/internal/mat"
 	"murphy/internal/microsim"
 	"murphy/internal/regress"
+	"murphy/internal/stats"
 	"murphy/internal/telemetry"
 )
 
@@ -85,8 +86,8 @@ func refCompile(m *Model, path []telemetry.EntityID, symRef metricRef) *refPlan 
 }
 
 // refRunPass64 is the original float64 pass: global slot vectors, Fill plus
-// AccumTerm per term, noise drawn for every step. It returns a copy of the
-// symptom's draws.
+// AccumTerm per term, noise drawn for every step from math/rand itself. It
+// returns a copy of the symptom's draws.
 func refRunPass64(m *Model, p *refPlan, ov *overrides, rng *rand.Rand, n int) []float64 {
 	base := m.base64()
 	vals := make([][]float64, m.kern.nslots)
@@ -291,10 +292,12 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 // passes on the real kernel and on the reference, both the fixed-budget
 // way (n draws, counterfactual then factual on one stream) and the
 // early-stop way (two batches on two streams), and compares every draw.
+// The kernel draws from stats.MathRandSource and the reference from
+// math/rand, so this also pins the kernel's noise stream to the original.
 func checkPlanAgainstReference(t *testing.T, m *Model, ar *arena, label string, plan *pathPlan, rp *refPlan, ov *overrides, seed int64) {
 	t.Helper()
 	ctx := context.Background()
-	pass := func(ov *overrides, rng *rand.Rand, n int) []float64 {
+	pass := func(ov *overrides, rng *stats.MathRandSource, n int) []float64 {
 		out, err := m.runPass64(ctx, plan, ov, rng, ar, n)
 		if err != nil {
 			t.Fatal(err)
@@ -302,12 +305,12 @@ func checkPlanAgainstReference(t *testing.T, m *Model, ar *arena, label string, 
 		return append([]float64(nil), out...)
 	}
 	n := m.cfg.Samples
-	rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	rng, ref := stats.NewMathRandSource(seed), rand.New(rand.NewSource(seed))
 	sameBits(t, label+" counterfactual", pass(ov, rng, n), refRunPass64(m, rp, ov, ref, n))
 	sameBits(t, label+" factual", pass(nil, rng, n), refRunPass64(m, rp, nil, ref, n))
 
-	cf, cfRef := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-	f, fRef := rand.New(rand.NewSource(^seed)), rand.New(rand.NewSource(^seed))
+	cf, cfRef := stats.NewMathRandSource(seed), rand.New(rand.NewSource(seed))
+	f, fRef := stats.NewMathRandSource(^seed), rand.New(rand.NewSource(^seed))
 	for batch := 0; batch < 2; batch++ {
 		b := earlyStopBatch
 		sameBits(t, fmt.Sprintf("%s counterfactual batch %d", label, batch), pass(ov, cf, b), refRunPass64(m, rp, ov, cfRef, b))

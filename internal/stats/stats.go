@@ -237,6 +237,29 @@ func WelchTTest(a, b []float64, alt Alternative) (TTestResult, error) {
 	return TTestResult{T: t, DF: df, P: p}, nil
 }
 
+// SignTest is the exact two-sided binomial sign test of paired
+// comparisons: under the null hypothesis each of the wins+losses untied
+// pairs goes either way with probability ½, and the p-value is the
+// probability of a split at least as uneven as min(wins, losses) against
+// the rest. Ties carry no sign; the caller leaves them out. With no untied
+// pairs it returns 1. Negative counts are a caller bug and panic.
+func SignTest(wins, losses int) float64 {
+	if wins < 0 || losses < 0 {
+		panic("stats: SignTest with a negative count")
+	}
+	n := wins + losses
+	// 2·P(X ≤ k) for X ~ Binomial(n, ½), each term in log space so 2⁻ⁿ
+	// does not underflow before the binomial coefficient scales it up.
+	lgN, _ := math.Lgamma(float64(n + 1))
+	tail := 0.0
+	for i := 0; i <= min(wins, losses); i++ {
+		a, _ := math.Lgamma(float64(i + 1))
+		b, _ := math.Lgamma(float64(n - i + 1))
+		tail += math.Exp(lgN - a - b - float64(n)*math.Ln2)
+	}
+	return math.Min(1, 2*tail)
+}
+
 // StudentTCDF returns P(T <= t) for a Student-t distribution with df degrees
 // of freedom, computed through the regularized incomplete beta function.
 func StudentTCDF(t, df float64) float64 {

@@ -124,6 +124,52 @@ func TestStudentTCDFMonotone(t *testing.T) {
 	}
 }
 
+// TestSignTest checks exact binomial p-values against hand-computed sums
+// of C(n, i)/2ⁿ, symmetry in its two counts, and the edge cases.
+func TestSignTest(t *testing.T) {
+	cases := []struct {
+		wins, losses int
+		want         float64
+	}{
+		{0, 0, 1},
+		{1, 0, 1},
+		{3, 0, 0.25},
+		{10, 0, 2.0 / 1024},
+		{9, 1, 2 * 11.0 / 1024},
+		{8, 2, 2 * 56.0 / 1024},
+		{7, 3, 2 * 176.0 / 1024},
+		{5, 5, 1},
+		{20, 0, 2.0 / (1 << 20)},
+		{15, 5, 2 * 21700.0 / (1 << 20)},
+	}
+	for _, c := range cases {
+		for _, swap := range []bool{false, true} {
+			w, l := c.wins, c.losses
+			if swap {
+				w, l = l, w
+			}
+			if got := SignTest(w, l); math.Abs(got-c.want) > 1e-12*c.want {
+				t.Errorf("SignTest(%d, %d) = %v, want %v", w, l, got, c.want)
+			}
+		}
+	}
+	// Large n stays finite and shrinks as the split grows more uneven.
+	prev := 1.0
+	for w := 500; w <= 700; w += 50 {
+		p := SignTest(w, 1000-w)
+		if math.IsNaN(p) || p > prev || p < 0 {
+			t.Fatalf("SignTest(%d, %d) = %v after %v", w, 1000-w, p, prev)
+		}
+		prev = p
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SignTest(-1, 3) did not panic")
+		}
+	}()
+	SignTest(-1, 3)
+}
+
 func TestWelchTTestSeparatesMeans(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	a := make([]float64, 500)

@@ -1,9 +1,9 @@
 // Fast normal deviates for the float32 sampling kernel: a splitmix64
 // counter generator feeding a 128-layer Marsaglia–Tsang ziggurat. The
-// float64 Gibbs kernel keeps math/rand's generator for bit-compatibility
-// with the original sampler; the float32 fast path trades that stream for
-// this one, which draws a standard normal in a handful of integer ops plus
-// one multiply in the ~98% common case — several times faster per draw.
+// float64 Gibbs kernel keeps math/rand's stream for bit-compatibility with
+// the original sampler (MathRandSource, mathrand.go); the float32 fast path
+// trades that stream for this one, whose bulk noise (AddNoise32) reads a
+// small table instead of running the ziggurat per element.
 
 package stats
 
@@ -60,7 +60,7 @@ func init() {
 // splitmix64 sequence (the same finalizer the sampler uses for seed
 // derivation) driving the ziggurat tables above. The zero value is a valid
 // stream seeded at 0; use NewNormSource to seed. Not safe for concurrent
-// use — one stream per Gibbs chain, like *rand.Rand in the float64 kernel.
+// use — one stream per Gibbs chain, like MathRandSource in the float64 kernel.
 type NormSource struct {
 	state uint64
 }
