@@ -223,7 +223,8 @@ func BenchmarkSensitivity_Parameters(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Component micro-benchmarks and ablations
 
-// contentionModel trains one Murphy model for per-operation benches.
+// contentionModel trains one Murphy model, every factor fitted, for
+// per-operation benches: they time diagnoses, not fits.
 func contentionModel(b *testing.B, cfg core.Config) (*core.Model, *microsim.Scenario) {
 	b.Helper()
 	sc, err := microsim.Contention(microsim.DefaultContentionOptions())
@@ -234,11 +235,7 @@ func contentionModel(b *testing.B, cfg core.Config) (*core.Model, *microsim.Scen
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, sc
+	return trainFitted(b, sc.Result.DB, g, cfg, 1), sc
 }
 
 func benchConfig() core.Config {
@@ -260,17 +257,28 @@ func BenchmarkCoreTrainOnline(b *testing.B) {
 	cfg := benchConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1}); err != nil {
-			b.Fatal(err)
-		}
+		trainFitted(b, sc.Result.DB, g, cfg, 1)
 	}
 }
 
-// BenchmarkCoreTrainOnlineWindow2016 is the full retrain of the hotel-triage
-// regime: the contention scenario at 2100 steps, trained on a one-week
-// window (2016 five-minute slices). Allocations are reported because they,
-// not only time, drive the daemon's peak RSS.
-func BenchmarkCoreTrainOnlineWindow2016(b *testing.B) {
+// trainFitted is a full retrain with every factor fitted: TrainOpt defers
+// the fits to whatever reads them, so the training benchmarks call FitAll
+// to keep timing a complete model.
+func trainFitted(b *testing.B, db *telemetry.DB, g *graph.Graph, cfg core.Config, workers int) *core.Model {
+	ctx := context.Background()
+	m, err := core.TrainOpt(ctx, db, g, cfg, core.TrainOpts{Now: -1, Workers: workers})
+	if err == nil {
+		err = m.FitAll(ctx, workers)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+// weekScenario is the hotel-triage regime's data: the contention scenario
+// at 2100 steps, for a one-week window (2016 five-minute slices).
+func weekScenario(b *testing.B) (*microsim.Scenario, *graph.Graph) {
 	opts := microsim.DefaultContentionOptions()
 	opts.Steps = 2100
 	sc, err := microsim.Contention(opts)
@@ -281,12 +289,40 @@ func BenchmarkCoreTrainOnlineWindow2016(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return sc, g
+}
+
+// BenchmarkCoreTrainOnlineWindow2016 is the full retrain of the hotel-triage
+// regime, every factor fitted. Allocations are reported because they, not
+// only time, drive the daemon's peak RSS.
+func BenchmarkCoreTrainOnlineWindow2016(b *testing.B) {
+	sc, g := weekScenario(b)
 	cfg := benchConfig()
 	cfg.TrainWindow = 2016
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1}); err != nil {
+		trainFitted(b, sc.Result.DB, g, cfg, 1)
+	}
+}
+
+// BenchmarkCoreDiagnoseWindow2016 is one hotel-triage operation without the
+// daemon: a full retrain at the one-week window, then one serial diagnosis
+// at 1,000 samples, which fits only the factors its candidates' paths read.
+func BenchmarkCoreDiagnoseWindow2016(b *testing.B) {
+	sc, g := weekScenario(b)
+	cfg := benchConfig()
+	cfg.TrainWindow = 2016
+	cfg.Samples = 1000
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := core.TrainOpt(ctx, sc.Result.DB, g, cfg, core.TrainOpts{Now: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.DiagnoseContext(ctx, sc.Symptom, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,9 +372,7 @@ func BenchmarkAblationTopB(b *testing.B) {
 			cfg.TopB = topB
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1}); err != nil {
-					b.Fatal(err)
-				}
+				trainFitted(b, sc.Result.DB, g, cfg, 1)
 			}
 		})
 	}
@@ -356,10 +390,7 @@ func BenchmarkAblationEdgeDirectionality(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := trainFitted(b, sc.Result.DB, g, cfg, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.Diagnose(sc.Symptom); err != nil {
@@ -379,10 +410,7 @@ func BenchmarkAblationEdgeDirectionality(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := core.TrainOpt(context.Background(), dagDB, g, cfg, core.TrainOpts{Now: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := trainFitted(b, dagDB, g, cfg, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.Diagnose(sc.Symptom); err != nil {
@@ -470,9 +498,7 @@ func BenchmarkAblationCombinedTraining(b *testing.B) {
 	cfg := benchConfig()
 	b.Run("online-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1}); err != nil {
-				b.Fatal(err)
-			}
+			trainFitted(b, sc.Result.DB, g, cfg, 1)
 		}
 	})
 	b.Run("combined", func(b *testing.B) {
@@ -566,8 +592,9 @@ func BenchmarkFastPathTable2(b *testing.B) {
 // Parallel training and multi-chain sampling
 
 // BenchmarkCoreTrainParallel times the training pool across worker counts on
-// the same workload as BenchmarkCoreTrainOnline; workers=1 is the serial
-// fallback path (no pool), so the suite exposes the pool's overhead directly.
+// the same workload as BenchmarkCoreTrainOnline (the series preparation and
+// FitAll both on the pool); workers=1 is the serial fallback path (no pool),
+// so the suite exposes the pool's overhead directly.
 func BenchmarkCoreTrainParallel(b *testing.B) {
 	sc, err := microsim.Contention(microsim.DefaultContentionOptions())
 	if err != nil {
@@ -581,10 +608,7 @@ func BenchmarkCoreTrainParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg,
-					core.TrainOpts{Now: -1, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
+				trainFitted(b, sc.Result.DB, g, cfg, workers)
 			}
 		})
 	}
@@ -612,7 +636,11 @@ func BenchmarkIncrementalTrain(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for t := anchor + 1; t < db.Len(); t++ {
-				if _, err := core.TrainOpt(ctx, db, g, cfg, core.TrainOpts{Now: t}); err != nil {
+				m, err := core.TrainOpt(ctx, db, g, cfg, core.TrainOpts{Now: t})
+				if err == nil {
+					err = m.FitAll(ctx, 1)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -699,6 +727,9 @@ func BenchmarkGibbsKernel(b *testing.B) {
 			}
 			m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg,
 				core.TrainOpts{Now: -1, Obs: rec})
+			if err == nil {
+				err = m.FitAll(context.Background(), 1)
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -742,6 +773,9 @@ func BenchmarkGibbsKernelEnterprise(b *testing.B) {
 	rec := obs.New()
 	rec.Enable()
 	m, err := core.TrainOpt(context.Background(), env.DB, g, cfg, core.TrainOpts{Now: -1, Obs: rec})
+	if err == nil {
+		err = m.FitAll(context.Background(), 1)
+	}
 	if err != nil {
 		b.Fatal(err)
 	}

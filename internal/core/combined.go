@@ -47,17 +47,25 @@ func TrainCombined(db *telemetry.DB, g *graph.Graph, cfg Config, offlineEnd int,
 	}
 	offCfg := cfg
 	offCfg.TrainWindow = offlineWindow
-	offline, err := trainAt(context.Background(), db, g, offCfg, TrainOpts{Now: offlineEnd})
+	ctx := context.Background()
+	offline, err := trainAt(ctx, db, g, offCfg, TrainOpts{Now: offlineEnd})
+	if err == nil {
+		err = offline.FitAll(ctx, 1)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: offline half: %w", err)
 	}
-	online, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1})
+	online, err := TrainOpt(ctx, db, g, cfg, TrainOpts{Now: -1})
+	if err == nil {
+		err = online.FitAll(ctx, 1)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: online half: %w", err)
 	}
 	for ref, of := range online.factors {
-		if off, ok := offline.factors[ref]; ok && sameFeatures(of, off) {
-			of.model = &combinedPredictor{offline: off.model, online: of.model, wOnline: wOnline}
+		if off, ok := offline.factors[ref]; ok && sameFeatures(of.cell, off.cell) {
+			of.cell = fittedCell(of.cell.features,
+				&combinedPredictor{offline: off.cell.model, online: of.cell.model, wOnline: wOnline})
 		}
 		// When the two halves selected different features (the topology or
 		// workload changed between the windows — the very staleness §6.5.1
@@ -66,7 +74,7 @@ func TrainCombined(db *telemetry.DB, g *graph.Graph, cfg Config, offlineEnd int,
 	return online, nil
 }
 
-func sameFeatures(a, b *factor) bool {
+func sameFeatures(a, b *fitCell) bool {
 	if len(a.features) != len(b.features) {
 		return false
 	}

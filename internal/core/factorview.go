@@ -25,11 +25,16 @@ type FactorView struct {
 	Novel                              bool
 }
 
-// FactorView returns the learned parameters of the (id, metric) factor, or
-// ok=false when no such factor was trained.
+// FactorView returns the learned parameters of the (id, metric) factor,
+// fitting it first if nothing has yet, or ok=false when there is no such
+// factor or its fit fails.
 func (m *Model) FactorView(id telemetry.EntityID, metric string) (FactorView, bool) {
 	f := m.factors[metricRef{id, metric}]
 	if f == nil {
+		return FactorView{}, false
+	}
+	c, err := f.fitted()
+	if err != nil {
 		return FactorView{}, false
 	}
 	v := FactorView{
@@ -37,10 +42,10 @@ func (m *Model) FactorView(id telemetry.EntityID, metric string) (FactorView, bo
 		Med: f.med, MADScale: f.madScale,
 		RScore: f.rscore, Novel: f.novel,
 	}
-	for _, fr := range f.features {
+	for _, fr := range c.features {
 		v.Features = append(v.Features, fr.String())
 	}
-	if r, ok := f.model.(*regress.Ridge); ok {
+	if r, ok := c.model.(*regress.Ridge); ok {
 		if coef, mean, std, intercept, fitted := r.LinearTerms(); fitted {
 			v.Coef = append([]float64(nil), coef...)
 			v.FeatMean = append([]float64(nil), mean...)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"murphy/internal/graph"
-	"murphy/internal/microsim"
 	"murphy/internal/stats"
 	"murphy/internal/telemetry"
 )
@@ -21,19 +20,8 @@ const weekWindow = 2016
 // week-long training window.
 func weekScenario(t testing.TB) (*telemetry.DB, *graph.Graph, Config) {
 	t.Helper()
-	opts := microsim.DefaultContentionOptions()
-	opts.Steps = 2100
-	sc, err := microsim.Contention(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.Build(sc.Result.DB, []telemetry.EntityID{sc.Symptom.Entity}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.TrainWindow = weekWindow
-	return sc.Result.DB, g, cfg
+	fx := weekFixture(t, DefaultConfig().Samples)
+	return fx.db, fx.g, fx.cfg
 }
 
 // TestFullTrainRobustStatsMatchSortedWindow cross-checks the selection-based
@@ -67,12 +55,13 @@ func TestFullTrainRobustStatsMatchSortedWindow(t *testing.T) {
 	}
 }
 
-// TestFullTrainAllocBudget pins the allocation of a week-long full retrain,
-// so the per-factor garbage the selection pass and the pooled ridge design
-// removed cannot creep back. The budget is 3× the bytes of the training
-// windows themselves: one raw copy per series and its centered view are
-// 2×; everything else — the selection scratch, the standardized design columns,
-// maps, candidate lists and fitted models — must fit in the third.
+// TestFullTrainAllocBudget pins the allocation of a week-long full retrain
+// with every factor fitted (TrainOpt then FitAll), so the per-factor garbage
+// the selection pass and the pooled ridge design removed cannot creep back.
+// The budget is 3× the bytes of the training windows themselves: one raw
+// copy per series is 1×; everything else — the selection scratch, the
+// standardized design columns, maps, candidate lists and fitted models —
+// must fit in the other two.
 func TestFullTrainAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool puts on purpose; the budget is checked without -race")
@@ -81,6 +70,9 @@ func TestFullTrainAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	train := func() *Model {
 		m, err := TrainOpt(ctx, db, g, cfg, TrainOpts{Now: -1})
+		if err == nil {
+			err = m.FitAll(ctx, 1)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

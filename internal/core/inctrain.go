@@ -708,14 +708,14 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, n
 
 	// Drift evidence: how well does the stale model predict the points that
 	// just entered the window?
-	if e.f != nil && e.f.model != nil {
+	if e.f != nil && e.f.cell.model != nil { // store factors are built fitted
 		x := make([]float64, len(e.feats))
 		for i := 0; i < add; i++ {
 			t := n - add + i
 			for j, fr := range e.feats {
 				x[j] = s.series[fr].win[t]
 			}
-			e.drift.Push(e.f.model.Predict(x), sty.win[t])
+			e.drift.Push(e.f.cell.model.Predict(x), sty.win[t])
 		}
 	}
 }
@@ -874,8 +874,7 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 	med, madScale, novel := sty.targetStats()
 	f := &factor{
 		target:   job.ref,
-		features: append([]metricRef(nil), e.feats...),
-		model:    regress.NewRidgeFromState(st),
+		cell:     fittedCell(append([]metricRef(nil), e.feats...), regress.NewRidgeFromState(st)),
 		hmean:    momY.Mean(),
 		med:      med,
 		madScale: madScale,
@@ -965,7 +964,6 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, n
 	f.rscore = f.robustScoreAt(sty.win[n-1])
 
 	feats := s.rankExact(job, prep, cfg)
-	f.features = feats
 	featCols := make([][]float64, len(feats))
 	for j, fr := range feats {
 		featCols[j] = s.series[fr].win
@@ -974,7 +972,7 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, n
 	if err := model.FitColumns(featCols, sty.win); err != nil {
 		return nil, fmt.Errorf("core: fit factor %s: %w", job.ref, err)
 	}
-	f.model = model
+	f.cell = fittedCell(feats, model)
 
 	// Anchor the slid statistics against the current shifts.
 	shiftedY := prep.shiftedCol(job.ref)
@@ -1208,7 +1206,7 @@ func (s *FactorStore) Snapshot() ([]byte, error) {
 		if e.f == nil || e.fittedHi == 0 {
 			continue // never anchored: nothing worth persisting
 		}
-		ridge, ok := e.f.model.(*regress.Ridge)
+		ridge, ok := e.f.cell.model.(*regress.Ridge)
 		if !ok {
 			continue
 		}
@@ -1412,10 +1410,9 @@ func (s *FactorStore) adoptLocked(db *telemetry.DB, cfg Config) {
 			e.drift.Push(ej.DriftPreds[j], ej.DriftActuals[j])
 		}
 		e.f = &factor{
-			target:   ref,
-			features: append([]metricRef(nil), feats...),
-			model:    regress.NewRidgeFromState(ej.Model),
-			hmean:    ej.Hmean, hstd: ej.Hstd,
+			target: ref,
+			cell:   fittedCell(append([]metricRef(nil), feats...), regress.NewRidgeFromState(ej.Model)),
+			hmean:  ej.Hmean, hstd: ej.Hstd,
 			med: ej.Med, madScale: ej.MadScale,
 			rscore: ej.Rscore, novel: ej.Novel,
 		}

@@ -151,10 +151,23 @@ func (m *Model) DiagnoseContext(ctx context.Context, symptom telemetry.Symptom, 
 		m.obs.Progress(obs.StageTest, int(done.Add(1)), len(candidates), string(cand))
 	}
 	sp = m.obs.StartStage(obs.StageTest)
+	// The tests read the factors on the candidates' shortest-path subgraphs
+	// and no others: fit those (the ones not fitted yet) on the same pool
+	// first, so the candidate fan-out below never waits on a fit. The fits
+	// are part of testing, and are timed with it. A context abort here
+	// leaves the unfitted cells pending and every candidate unevaluated.
+	paths := make([][]telemetry.EntityID, len(candidates))
+	for i, cand := range candidates {
+		paths[i] = m.paths.ShortestPathSubgraph(cand, symptom.Entity)
+	}
+	if err := m.fitRefs(ctx, workers, m.pathRefs(paths)); err != nil && ctx.Err() == nil {
+		sp.End()
+		return nil, err
+	}
 	// The pool's only error is the context's, which the empty slots record.
 	_ = forEachIndex(ctx, workers, len(candidates), func(i int) error {
 		cand := candidates[i]
-		verdict, ok, err := m.evaluateCandidateSafe(ctx, cand, symptom)
+		verdict, ok, err := m.evaluateCandidateSafe(ctx, cand, symptom, paths[i])
 		switch {
 		case err != nil:
 			results[i] = outcome{done: true, skip: evalFailReason(err)}
@@ -248,14 +261,14 @@ func sortCauses(causes []RootCause) {
 // evaluateCandidateSafe runs one candidate evaluation under panic recovery
 // and cancellation: a panic or a context abort becomes an error, never a
 // crashed or deadlocked diagnosis.
-func (m *Model) evaluateCandidateSafe(ctx context.Context, a telemetry.EntityID, symptom telemetry.Symptom) (rc RootCause, ok bool, err error) {
+func (m *Model) evaluateCandidateSafe(ctx context.Context, a telemetry.EntityID, symptom telemetry.Symptom, path []telemetry.EntityID) (rc RootCause, ok bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rc, ok = RootCause{}, false
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return m.evaluateCandidate(ctx, a, symptom)
+	return m.evaluateCandidate(ctx, a, symptom, path)
 }
 
 // checkSymptom validates that a symptom is diagnosable against this model.
@@ -279,17 +292,20 @@ func (m *Model) Candidates(symptom telemetry.EntityID) []telemetry.EntityID {
 // EvaluateCandidate runs the counterfactual test: would moving candidate A's
 // anomalous metrics two standard deviations toward normal significantly move
 // the symptom metric toward normal? It returns the verdict and whether A
-// qualifies as a root cause.
+// qualifies as a root cause. The factors on A's path to the symptom are
+// fitted first if nothing has yet; a failed fit reports A as no cause.
 func (m *Model) EvaluateCandidate(a telemetry.EntityID, symptom telemetry.Symptom) (RootCause, bool) {
-	rc, ok, _ := m.evaluateCandidate(context.Background(), a, symptom)
+	path := m.paths.ShortestPathSubgraph(a, symptom.Entity)
+	rc, ok, _ := m.evaluateCandidate(context.Background(), a, symptom, path)
 	return rc, ok
 }
 
-// evaluateCandidate is EvaluateCandidate under a context: the per-candidate
-// Gibbs sampling loop checks for cancellation between resampling passes, so
-// a deadline cuts a stalled evaluation short instead of running it to
-// completion.
-func (m *Model) evaluateCandidate(ctx context.Context, a telemetry.EntityID, symptom telemetry.Symptom) (RootCause, bool, error) {
+// evaluateCandidate is EvaluateCandidate under a context, given A's
+// shortest-path subgraph to the symptom (nil: A cannot reach it): the
+// per-candidate Gibbs sampling loop checks for cancellation between
+// resampling passes, so a deadline cuts a stalled evaluation short instead
+// of running it to completion.
+func (m *Model) evaluateCandidate(ctx context.Context, a telemetry.EntityID, symptom telemetry.Symptom, path []telemetry.EntityID) (RootCause, bool, error) {
 	if m.evalHook != nil {
 		m.evalHook(a)
 	}
@@ -300,7 +316,6 @@ func (m *Model) evaluateCandidate(ctx context.Context, a telemetry.EntityID, sym
 		}()
 	}
 	d := symptom.Entity
-	path := m.paths.ShortestPathSubgraph(a, d)
 	if path == nil {
 		return RootCause{}, false, nil // A cannot influence D in the graph
 	}
@@ -328,7 +343,10 @@ func (m *Model) evaluateCandidate(ctx context.Context, a telemetry.EntityID, sym
 	if !symptom.High {
 		sign = -1
 	}
-	plan := m.planFor(a, symRef, path)
+	plan, err := m.planFor(a, symRef, path)
+	if err != nil {
+		return RootCause{}, false, err
+	}
 	res, shift, used, statErr := m.sampleCandidate(ctx, a, d, plan, ov, alt, ar, sign/scale)
 	if statErr != nil {
 		if errors.Is(statErr, stats.ErrInsufficientData) {

@@ -12,12 +12,14 @@ import (
 // Gibbs passes (deterministically: mean predictions, no noise) and return
 // the resulting value of the target metric. Source entities are pinned to
 // their overridden values; every other entity starts from its current value.
-// ok is false when no source can reach the target.
+// ok is false when no source can reach the target. The factors it
+// propagates through are fitted first if nothing has yet; err is a failed
+// fit.
 //
 // This is the subroutine behind Fig 8b: more rounds propagate effects across
 // cycles further, so prediction accuracy through a cyclic region improves
 // with rounds exactly when cyclic influence is real.
-func (m *Model) PredictUnderIntervention(overrides map[telemetry.EntityID]map[string]float64, target telemetry.EntityID, targetMetric string, rounds int) (float64, bool) {
+func (m *Model) PredictUnderIntervention(overrides map[telemetry.EntityID]map[string]float64, target telemetry.EntityID, targetMetric string, rounds int) (float64, bool, error) {
 	if rounds <= 0 {
 		rounds = m.cfg.GibbsRounds
 	}
@@ -40,7 +42,7 @@ func (m *Model) PredictUnderIntervention(overrides map[telemetry.EntityID]map[st
 		}
 	}
 	if !reached {
-		return 0, false
+		return 0, false, nil
 	}
 	order := make([]telemetry.EntityID, 0, len(dist))
 	for id := range dist {
@@ -73,9 +75,13 @@ func (m *Model) PredictUnderIntervention(overrides map[telemetry.EntityID]map[st
 				if f == nil {
 					continue
 				}
-				state[ref] = f.model.Predict(m.featureVector(f, state))
+				c, err := f.fitted()
+				if err != nil {
+					return 0, false, err
+				}
+				state[ref] = c.model.Predict(featureVector(c, state))
 			}
 		}
 	}
-	return state[metricRef{target, targetMetric}], true
+	return state[metricRef{target, targetMetric}], true, nil
 }

@@ -14,13 +14,13 @@ func TestPredictUnderInterventionPropagates(t *testing.T) {
 	// Lowering the client's RPS to its historical quiet level should lower
 	// the predicted backend CPU well below its current (incident) value.
 	quiet := 50.0
-	pred, ok := m.PredictUnderIntervention(
+	pred, ok, err := m.PredictUnderIntervention(
 		map[telemetry.EntityID]map[string]float64{
 			"client": {telemetry.MetricRPS: quiet},
 		},
 		"back", telemetry.MetricCPU, 4)
-	if !ok {
-		t.Fatal("client should reach back")
+	if err != nil || !ok {
+		t.Fatalf("client should reach back (err %v)", err)
 	}
 	cur := m.CurrentValue("back", telemetry.MetricCPU)
 	if pred >= cur-10 {
@@ -34,10 +34,10 @@ func TestPredictUnderInterventionPropagates(t *testing.T) {
 	}
 	// More rounds must not move the prediction away from the true value —
 	// the Fig 8b property that motivates W > 1.
-	pred1, _ := m.PredictUnderIntervention(
+	pred1, _, _ := m.PredictUnderIntervention(
 		map[telemetry.EntityID]map[string]float64{"client": {telemetry.MetricRPS: quiet}},
 		"back", telemetry.MetricCPU, 1)
-	pred8, _ := m.PredictUnderIntervention(
+	pred8, _, _ := m.PredictUnderIntervention(
 		map[telemetry.EntityID]map[string]float64{"client": {telemetry.MetricRPS: quiet}},
 		"back", telemetry.MetricCPU, 8)
 	if math.Abs(pred8-24) > math.Abs(pred1-24)+1e-9 {
@@ -48,8 +48,8 @@ func TestPredictUnderInterventionPropagates(t *testing.T) {
 func TestPredictUnderInterventionDeterministic(t *testing.T) {
 	_, m := trainChain(t)
 	ov := map[telemetry.EntityID]map[string]float64{"client": {telemetry.MetricRPS: 60}}
-	a, _ := m.PredictUnderIntervention(ov, "back", telemetry.MetricCPU, 4)
-	b, _ := m.PredictUnderIntervention(ov, "back", telemetry.MetricCPU, 4)
+	a, _, _ := m.PredictUnderIntervention(ov, "back", telemetry.MetricCPU, 4)
+	b, _, _ := m.PredictUnderIntervention(ov, "back", telemetry.MetricCPU, 4)
 	if a != b {
 		t.Fatal("intervention prediction must be deterministic")
 	}
@@ -70,7 +70,7 @@ func TestPredictUnderInterventionUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.PredictUnderIntervention(
+	if _, ok, _ := m.PredictUnderIntervention(
 		map[telemetry.EntityID]map[string]float64{"island": {telemetry.MetricCPU: 5}},
 		"back", telemetry.MetricCPU, 2); ok {
 		t.Fatal("unreachable source should report !ok")
@@ -80,11 +80,11 @@ func TestPredictUnderInterventionUnreachable(t *testing.T) {
 func TestPredictUnderInterventionDefaultRounds(t *testing.T) {
 	_, m := trainChain(t)
 	ov := map[telemetry.EntityID]map[string]float64{"client": {telemetry.MetricRPS: 60}}
-	a, ok := m.PredictUnderIntervention(ov, "back", telemetry.MetricCPU, 0)
+	a, ok, _ := m.PredictUnderIntervention(ov, "back", telemetry.MetricCPU, 0)
 	if !ok {
 		t.Fatal("should reach")
 	}
-	b, _ := m.PredictUnderIntervention(ov, "back", telemetry.MetricCPU, m.Config().GibbsRounds)
+	b, _, _ := m.PredictUnderIntervention(ov, "back", telemetry.MetricCPU, m.Config().GibbsRounds)
 	if a != b {
 		t.Fatal("rounds=0 should default to configured Gibbs rounds")
 	}

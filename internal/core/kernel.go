@@ -127,22 +127,16 @@ type linearTermer interface {
 	LinearTerms() (coef, mean, std []float64, intercept float64, ok bool)
 }
 
-// slots builds (once) the metricRef → slot table covering every factor
-// target and feature, and returns it.
+// slots builds (once) the metricRef → slot table covering every metric of
+// the model — every factor target, and so every feature a fit can select
+// (features are metrics of graph neighbours) — and returns it. It reads no
+// fit, so building it fits nothing.
 func (m *Model) slots() map[metricRef]int32 {
 	kt := m.kern
 	kt.once.Do(func() {
-		slotOf := make(map[metricRef]int32)
-		add := func(r metricRef) {
-			if _, ok := slotOf[r]; !ok {
-				slotOf[r] = int32(len(slotOf))
-			}
-		}
-		for ref, f := range m.factors {
-			add(ref)
-			for _, fr := range f.features {
-				add(fr)
-			}
+		slotOf := make(map[metricRef]int32, len(m.current))
+		for ref := range m.current {
+			slotOf[ref] = int32(len(slotOf))
 		}
 		kt.slotOf = slotOf
 		kt.nslots = len(slotOf)
@@ -196,17 +190,21 @@ func (ov *overrides) start(base []float64, s int32) float64 {
 
 // planFor returns the compiled plan for one (candidate, symptom) pair,
 // compiling and caching it on first use. Candidates re-tested across
-// diagnoses (and Rebind copies) skip the per-ref map walks entirely.
-func (m *Model) planFor(a telemetry.EntityID, symRef metricRef, path []telemetry.EntityID) *pathPlan {
+// diagnoses (and Rebind copies) skip the per-ref map walks entirely. The
+// error is a failed fit of a factor on the path.
+func (m *Model) planFor(a telemetry.EntityID, symRef metricRef, path []telemetry.EntityID) (*pathPlan, error) {
 	kt := m.kern
 	key := planKey{a, symRef.entity, symRef.metric}
 	kt.mu.RLock()
 	p := kt.plans[key]
 	kt.mu.RUnlock()
 	if p != nil {
-		return p
+		return p, nil
 	}
-	p = m.compilePlan(path, symRef)
+	p, err := m.compilePlan(path, symRef)
+	if err != nil {
+		return nil, err
+	}
 	kt.mu.Lock()
 	if prev, ok := kt.plans[key]; ok {
 		p = prev // lost the compile race; keep the canonical plan
@@ -214,7 +212,7 @@ func (m *Model) planFor(a telemetry.EntityID, symRef metricRef, path []telemetry
 		kt.plans[key] = p
 	}
 	kt.mu.Unlock()
-	return p
+	return p, nil
 }
 
 // compilePlan flattens one resampling walk: for every factor of every
@@ -223,8 +221,8 @@ func (m *Model) planFor(a telemetry.EntityID, symRef metricRef, path []telemetry
 // trained model exposes them. It then keeps the arithmetic only of the
 // steps that reach the symptom slot, numbers the slots they write as
 // plan-local chain vectors, and turns every other slot they read into a
-// pass constant.
-func (m *Model) compilePlan(path []telemetry.EntityID, symRef metricRef) *pathPlan {
+// pass constant. The path's factors are fitted first if nothing has yet.
+func (m *Model) compilePlan(path []telemetry.EntityID, symRef metricRef) (*pathPlan, error) {
 	slotOf := m.slots()
 	symSlot := slotOf[symRef]
 	nsteps := 0 // an upper bound: factors of the non-candidate path nodes
@@ -243,15 +241,19 @@ func (m *Model) compilePlan(path []telemetry.EntityID, symRef metricRef) *pathPl
 			if f == nil {
 				continue
 			}
-			st := planStep{out: slotOf[ref], model: f.model, noise: f.model.ResidualStd()}
+			c, err := f.fitted()
+			if err != nil {
+				return nil, err
+			}
+			st := planStep{out: slotOf[ref], model: c.model, noise: c.model.ResidualStd()}
 			st.noise32 = float32(st.noise)
 			aliased := false
-			st.src = make([]int32, len(f.features))
-			for j, fr := range f.features {
+			st.src = make([]int32, len(c.features))
+			for j, fr := range c.features {
 				st.src[j] = slotOf[fr]
 				aliased = aliased || st.src[j] == st.out
 			}
-			if lt, ok := f.model.(linearTermer); ok && !aliased {
+			if lt, ok := c.model.(linearTermer); ok && !aliased {
 				if coef, mean, std, intercept, fitted := lt.LinearTerms(); fitted {
 					// Predict evaluates min(len(coef), len(x)) terms; mirror
 					// that prefix truncation (coef may even be nil for an
@@ -309,7 +311,7 @@ func (m *Model) compilePlan(path []telemetry.EntityID, symRef metricRef) *pathPl
 			}
 		}
 	}
-	return p
+	return p, nil
 }
 
 // liveSteps marks the steps whose output reaches the symptom slot: a

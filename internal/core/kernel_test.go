@@ -60,16 +60,20 @@ func refCompile(m *Model, path []telemetry.EntityID, symRef metricRef) *refPlan 
 			if f == nil {
 				continue
 			}
-			st := refStep{out: slotOf[ref], noise: f.model.ResidualStd()}
+			c, err := f.fitted()
+			if err != nil {
+				panic(err)
+			}
+			st := refStep{out: slotOf[ref], noise: c.model.ResidualStd()}
 			touch(st.out)
 			aliased := false
-			for _, fr := range f.features {
+			for _, fr := range c.features {
 				fs := slotOf[fr]
 				st.feats = append(st.feats, fs)
 				touch(fs)
 				aliased = aliased || fs == st.out
 			}
-			if lt, ok := f.model.(linearTermer); ok && !aliased {
+			if lt, ok := c.model.(linearTermer); ok && !aliased {
 				if coef, mean, std, intercept, fitted := lt.LinearTerms(); fitted {
 					nterms := min(len(coef), len(st.feats), len(mean), len(std))
 					st.coef, st.mean, st.std = coef[:nterms], mean[:nterms], std[:nterms]
@@ -78,7 +82,7 @@ func refCompile(m *Model, path []telemetry.EntityID, symRef metricRef) *refPlan 
 					continue
 				}
 			}
-			st.model = f.model
+			st.model = c.model
 			p.steps = append(p.steps, st)
 		}
 	}
@@ -218,15 +222,18 @@ func mixFactors(m *Model) {
 		return refs[i].metric < refs[j].metric
 	})
 	for i, ref := range refs {
-		f := m.factors[ref]
+		c, err := m.factors[ref].fitted()
+		if err != nil {
+			panic(err)
+		}
 		switch {
-		case i%7 == 3 && len(f.features) > 0:
-			f.features = append([]metricRef{ref}, f.features[1:]...)
+		case i%7 == 3 && len(c.features) > 0:
+			c.features = append([]metricRef{ref}, c.features[1:]...)
 		case i%5 == 1:
-			f.model = opaqueFactor{f.model}
+			c.model = opaqueFactor{c.model}
 		case i%3 == 2:
-			if lp, ok := f.model.(linearPredictor); ok {
-				f.model = quietFactor{lp}
+			if lp, ok := c.model.(linearPredictor); ok {
+				c.model = quietFactor{lp}
 			}
 		}
 	}
@@ -359,7 +366,10 @@ func TestKernelPrunedPlanMatchesReference(t *testing.T) {
 					}
 					ov = &overrides{slots: []int32{slot}, vals: []float64{m.base64()[slot] + 1}}
 				}
-				plan := m.compilePlan(path, symRef)
+				plan, err := m.compilePlan(path, symRef)
+				if err != nil {
+					t.Fatal(err)
+				}
 				rp := refCompile(m, path, symRef)
 				shape.add(plan, rp)
 				checkPlanAgainstReference(t, m, ar, fmt.Sprintf("candidate %s", a), plan, rp, ov, m.pairSeed(a, d))

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"murphy/internal/graph"
@@ -26,10 +24,15 @@ func (r metricRef) String() string { return string(r.entity) + "/" + r.metric }
 // factor is the learned per-metric factor: a model predicting one metric of
 // an entity from selected neighbor metrics in the same time slice. The MRF's
 // P_v is the product of its per-metric factors.
+//
+// The statistics below are computed eagerly by every training pass; the
+// learned regression (selected features and trained model) lives in the
+// factor's fit cell, which a full retrain fills only when something reads it.
 type factor struct {
-	target   metricRef
-	features []metricRef
-	model    regress.Predictor
+	target metricRef
+	// cell holds the selected features and the trained model. Rebind copies
+	// share it, so a factor is fitted at most once whichever copy asks.
+	cell *fitCell
 	// hmean/hstd are the historical mean and std of the target metric over
 	// the training window; used for counterfactual placement.
 	hmean, hstd float64
@@ -85,8 +88,6 @@ type Model struct {
 	trainLo, trainHi int
 	// now is the diagnosis time slice (the last slice of the window).
 	now int
-	// trainer builds one regression model per factor.
-	trainer regress.Trainer
 	// readFailures records telemetry reads that failed even after the
 	// source's own resilience; training degraded each to missing data.
 	readFailures []ReadFailure
@@ -166,9 +167,12 @@ type TrainOpts struct {
 	// falls back to obs.Global(), which is disabled by default.
 	Obs *obs.Recorder
 	// Workers bounds the training worker pool that fans the per-series
-	// preprocessing and per-factor fits across cores. Zero or one runs the
-	// historical serial loop (no goroutines, no channels); any larger count
-	// produces bit-identical factors, so it is purely a latency knob.
+	// preprocessing (and, on the factor-store path, the per-factor updates)
+	// across cores. Zero or one runs the historical serial loop (no
+	// goroutines, no channels); any larger count produces bit-identical
+	// factors, so it is purely a latency knob. A full retrain's ridge fits
+	// are deferred and run on the pool of whatever demands them
+	// (DiagnoseContext's workers, FitAll).
 	Workers int
 }
 
@@ -179,7 +183,15 @@ type TrainOpts struct {
 // window includes in-incident points. Training aborts with the context's
 // error as soon as the context is done. The optional knobs of TrainOpts
 // interpose a read path, swap the regression trainer, reuse work through a
-// FactorStore, and fan the fits out over a worker pool.
+// FactorStore, and fan the series preparation out over a worker pool.
+//
+// A full retrain (no store in play) prepares every series eagerly — the
+// training columns, their moments, and each factor's robust statistics,
+// which pruning, ranking and the counterfactual start read — but defers each
+// factor's feature ranking and ridge fit until something reads the factor:
+// a diagnosis fits only the factors on its candidates' shortest-path
+// subgraphs (§4.2), WhatIf only those it propagates through, and FitAll
+// everything. A fit error surfaces at that point, not here.
 //
 // With opts.Src set, a read that still fails after the source's own
 // resilience does not fail training: the series degrades to missing data
@@ -222,7 +234,6 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		factors:   make(map[metricRef]*factor),
 		current:   make(map[metricRef]float64),
 		metricsOf: make(map[telemetry.EntityID][]string),
-		trainer:   trainer,
 		now:       now,
 		paths:     graph.NewSubgraphCache(g),
 		arenas:    newArenaPool(),
@@ -303,13 +314,11 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 	// Enumeration and raw reads stay serial: sources may be stateful (fault
 	// injectors, rate-limited collectors) and the order of recorded read
 	// failures is part of the model's contract. The pure per-series work —
-	// robust statistics, placeholder fill, centering for the Pearson
-	// ranking — fans out below.
+	// robust statistics, placeholder fill, the moments for the Pearson
+	// ranking and the ridge standardization — fans out below.
 	type seriesPrep struct {
 		ref metricRef
-		raw []float64      // the window as read (NaN = missing)
-		col []float64      // placeholder-filled training column (raw itself when nothing is missing)
-		ctr stats.Centered // centered view of col
+		raw []float64 // the window as read (NaN = missing)
 		// med/madScale/novel are the series' robust statistics as a factor
 		// target; see the anomaly-scoring rule in the prep pass.
 		med, madScale float64
@@ -330,8 +339,12 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 			prep = append(prep, &seriesPrep{ref: metricRef{id, name}, raw: w})
 		}
 	}
-	workers := opts.Workers
-	if err := forEachIndex(ctx, workers, len(prep), func(i int) error {
+	// cols[i] is series i's training column (placeholder-filled; raw itself
+	// when nothing is missing) with its moments. The model keeps these, not
+	// the prep records, so a series with missing slices does not keep its
+	// raw window alive next to the filled column.
+	cols := make([]stats.Centered, len(prep))
+	if err := forEachIndex(ctx, opts.Workers, len(prep), func(i int) error {
 		p := prep[i]
 		obsY := p.raw
 		if hasMissing(p.raw) {
@@ -342,16 +355,16 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		// One selection pass gives both the placeholder (the observed
 		// median) and the target's robust center and scale.
 		med, mad := stats.MedianMAD(obsY, *scratch)
-		p.col = p.raw
+		col := p.raw
 		if len(obsY) < len(p.raw) {
 			def := med
 			if def != def {
 				def = 0 // nothing observed at all: the type default
 			}
-			p.col = append([]float64(nil), p.raw...)
-			for t, v := range p.col {
+			col = append([]float64(nil), p.raw...)
+			for t, v := range col {
 				if v != v {
-					p.col[t] = def
+					col[t] = def
 				}
 			}
 		}
@@ -364,35 +377,43 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		// statistics fall back to the filled column.
 		if len(obsY) < n/4 {
 			p.novel = true
-			med, mad = stats.MedianMAD(p.col, *scratch)
+			med, mad = stats.MedianMAD(col, *scratch)
 		}
 		p.med, p.madScale = med, 1.4826*mad
-		p.ctr = stats.Center(p.col)
+		cols[i] = stats.Center(col)
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("core: training cancelled: %w", err)
 	}
-	series := make(map[metricRef]*seriesPrep, len(prep))
-	for _, p := range prep {
-		series[p.ref] = p
-		m.current[p.ref] = p.col[len(p.col)-1]
+	fs := &fitSource{
+		series:  make(map[metricRef]*stats.Centered, len(prep)),
+		trainer: trainer,
+		topB:    cfg.TopB,
+		rec:     rec,
+	}
+	for i, p := range prep {
+		y := &cols[i]
+		fs.series[p.ref] = y
+		m.current[p.ref] = y.Src[n-1]
+		// The historical mean/std come from the centered view; its sum of
+		// squares was accumulated in MeanStd's order, so the bits match.
+		f := &factor{
+			target: p.ref, hmean: y.Mean,
+			med: p.med, madScale: p.madScale, novel: p.novel,
+		}
+		if n >= 2 {
+			f.hstd = math.Sqrt(y.SumSq / float64(n-1))
+		}
+		f.rscore = f.robustScoreAt(y.Src[n-1])
+		m.factors[p.ref] = f
 	}
 
-	// Fit one factor per (entity, metric). Jobs are assembled in graph order and each writes only its own slot,
-	// so the trained model is bit-identical whatever the pool size; the
+	// Each factor's fit waits in its cell until something demands it. The
 	// candidate list and its ranking tie-break keys are built once per
-	// entity (the tie-break used to call ref.String() inside the sort
-	// comparator — two string allocations per comparison).
-	type fitJob struct {
-		ref      metricRef
-		cand     []metricRef // shared across the entity's jobs
-		candKeys []string    // cand[i].String(), precomputed
-		candCtr  []*stats.Centered
-		out      *factor
-	}
-	var jobs []*fitJob
+	// entity and shared by the entity's cells (the tie-break used to call
+	// ref.String() inside the sort comparator — two string allocations per
+	// comparison).
 	for _, id := range g.IDs() {
-		// Collect all candidate neighbor metric refs.
 		var cand []metricRef
 		for _, nb := range g.InIDs(id) {
 			for _, name := range m.metricsOf[nb] {
@@ -403,99 +424,15 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		candCtr := make([]*stats.Centered, len(cand))
 		for i, c := range cand {
 			candKeys[i] = c.String()
-			candCtr[i] = &series[c].ctr
+			candCtr[i] = fs.series[c]
 		}
 		for _, name := range m.metricsOf[id] {
-			jobs = append(jobs, &fitJob{
-				ref:  metricRef{id, name},
+			ref := metricRef{id, name}
+			m.factors[ref].cell = &fitCell{job: &fitJob{
+				src: fs, ref: ref,
 				cand: cand, candKeys: candKeys, candCtr: candCtr,
-			})
+			}}
 		}
-	}
-	pooled := workers > 1 && len(jobs) > 1
-	if err := forEachIndex(ctx, workers, len(jobs), func(jid int) error {
-		job := jobs[jid]
-		ref := job.ref
-		target := series[ref]
-		y := target.col
-		yctr := &target.ctr
-		// The historical mean/std come from the centered view; the sum of
-		// squares was accumulated in MeanStd's order, so the bits match.
-		f := &factor{
-			target: ref, hmean: yctr.Mean,
-			med: target.med, madScale: target.madScale, novel: target.novel,
-		}
-		if len(y) >= 2 {
-			f.hstd = math.Sqrt(yctr.SumSq / float64(len(y)-1))
-		}
-		f.rscore = f.robustScoreAt(y[len(y)-1])
-		// Rank candidates by |corr| with the target — one dot product per
-		// pair over the precomputed centered columns; keep the top B
-		// (one-in-ten rule, §4.2).
-		rs := make([]float64, len(job.cand))
-		order := make([]int, len(job.cand))
-		for i := range job.cand {
-			rs[i] = stats.AbsPearsonCentered(job.candCtr[i], yctr)
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ia, ib := order[a], order[b]
-			if rs[ia] != rs[ib] {
-				return rs[ia] > rs[ib]
-			}
-			return job.candKeys[ia] < job.candKeys[ib]
-		})
-		b := cfg.TopB
-		if b > len(order) {
-			b = len(order)
-		}
-		feats := make([]metricRef, 0, b)
-		for _, i := range order[:b] {
-			if rs[i] > 0 {
-				feats = append(feats, job.cand[i])
-			}
-		}
-		f.features = feats
-		featCols := make([][]float64, len(feats))
-		for j, fr := range feats {
-			featCols[j] = series[fr].col
-		}
-		model := trainer()
-		// The training windows already are the design matrix's columns: a
-		// trainer with the column fast path (the default ridge) consumes
-		// them directly; others get the row-major assembly.
-		var ferr error
-		if cf, ok := model.(regress.ColumnsFitter); ok {
-			ferr = cf.FitColumns(featCols, y)
-		} else {
-			x := make([][]float64, n)
-			for t := 0; t < n; t++ {
-				row := make([]float64, len(feats))
-				for j := range feats {
-					row[j] = featCols[j][t]
-				}
-				x[t] = row
-			}
-			ferr = model.Fit(x, y)
-		}
-		if ferr != nil {
-			return fmt.Errorf("core: fit factor %s: %w", ref, ferr)
-		}
-		f.model = model
-		job.out = f
-		rec.Add(obs.CtrFactorsTrained, 1)
-		if pooled {
-			rec.Add(obs.CtrTrainParallelFits, 1)
-		}
-		return nil
-	}); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("core: training cancelled: %w", err)
-		}
-		return nil, err
-	}
-	for _, job := range jobs {
-		m.factors[job.ref] = job.out
 	}
 	return m, nil
 }
@@ -616,15 +553,20 @@ func (m *Model) MetricZ(id telemetry.EntityID, metric string) float64 {
 }
 
 // PredictMetric returns the factor's mean prediction for (id, metric) given
-// the current values of its selected features. It is exported for the metric
-// prediction micro-benchmarks (Fig 8a) and the cyclic-effects experiment
-// (Fig 8b / Appendix A.2).
+// the current values of its selected features, fitting the factor first if
+// nothing has yet. ok is false when there is no such factor, or its fit
+// fails. It is exported for the metric prediction micro-benchmarks (Fig 8a)
+// and the cyclic-effects experiment (Fig 8b / Appendix A.2).
 func (m *Model) PredictMetric(id telemetry.EntityID, metric string) (float64, bool) {
 	f := m.factors[metricRef{id, metric}]
 	if f == nil {
 		return 0, false
 	}
-	return f.model.Predict(m.featureVector(f, m.current)), true
+	c, err := f.fitted()
+	if err != nil {
+		return 0, false
+	}
+	return c.model.Predict(featureVector(c, m.current)), true
 }
 
 // hasMissing reports whether a raw window holds any NaN (missing) slice.
@@ -663,10 +605,10 @@ func observedOnly(w []float64) []float64 {
 	return out
 }
 
-// featureVector assembles a factor's input from a state map.
-func (m *Model) featureVector(f *factor, state map[metricRef]float64) []float64 {
-	x := make([]float64, len(f.features))
-	for j, fr := range f.features {
+// featureVector assembles a fitted factor's input from a state map.
+func featureVector(c *fitCell, state map[metricRef]float64) []float64 {
+	x := make([]float64, len(c.features))
+	for j, fr := range c.features {
 		x[j] = state[fr]
 	}
 	return x

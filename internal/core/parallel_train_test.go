@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -12,9 +13,10 @@ import (
 	"murphy/internal/telemetry"
 )
 
-// TestParallelTrainingBitIdentical trains the same database at worker counts
-// 1/2/4/8 and requires bit-identical diagnoses: the worker pool is a latency
-// knob, never a results knob.
+// TestParallelTrainingBitIdentical trains and diagnoses the same database at
+// worker counts 1/2/4/8 (the diagnosis's pool also runs the deferred fits)
+// and requires bit-identical diagnoses: the worker pool is a latency knob,
+// never a results knob.
 func TestParallelTrainingBitIdentical(t *testing.T) {
 	db := chainDB(t, 220, 5, 42)
 	g := chainGraph(t, db)
@@ -37,7 +39,7 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 		if m.NumFactors() != serial.NumFactors() {
 			t.Fatalf("workers=%d: %d factors vs %d", workers, m.NumFactors(), serial.NumFactors())
 		}
-		diag, err := m.Diagnose(sym)
+		diag, err := m.DiagnoseContext(context.Background(), sym, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -45,20 +47,28 @@ func TestParallelTrainingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelTrainingCounter verifies the pool instrumentation: pooled
-// training reports its fits on CtrTrainParallelFits, serial training reports
-// none.
+// TestParallelTrainingCounter verifies the pool instrumentation: fits on a
+// pool (a full retrain's deferred fits run on the diagnosis's workers)
+// report on CtrTrainParallelFits, serial fits report none.
 func TestParallelTrainingCounter(t *testing.T) {
 	db := chainDB(t, 220, 5, 42)
 	g := chainGraph(t, db)
+	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
 	for _, workers := range []int{1, 4} {
 		rec := obs.New()
 		rec.Enable()
-		if _, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1, Workers: workers, Obs: rec}); err != nil {
+		m, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1, Workers: workers, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.DiagnoseContext(context.Background(), sym, workers); err != nil {
 			t.Fatal(err)
 		}
 		fits := rec.Counter(obs.CtrTrainParallelFits)
 		trained := rec.Counter(obs.CtrFactorsTrained)
+		if trained == 0 {
+			t.Fatalf("workers=%d: the diagnosis fitted no factor", workers)
+		}
 		if workers == 1 && fits != 0 {
 			t.Errorf("serial training reported %d pooled fits", fits)
 		}
@@ -92,12 +102,23 @@ func (c *cancelAfterTrainer) Fit(x [][]float64, y []float64) error {
 	return c.Predictor.Fit(x, y)
 }
 
-// TestParallelTrainingCancelMidPool cancels the context after a few fits and
-// requires training to fail with the context error at every worker count —
-// no hang, no partial model returned.
+// TestParallelTrainingCancelMidPool cancels the context after a few of a
+// diagnosis's deferred fits and requires, at every worker count, that the
+// diagnosis end with the context error — no hang, no candidate evaluated —
+// and that the cancelled pre-fit leave no failed cell behind: the same model
+// then diagnoses exactly as a model that was never cancelled.
 func TestParallelTrainingCancelMidPool(t *testing.T) {
 	db := chainDB(t, 220, 5, 42)
 	g := chainGraph(t, db)
+	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
+	clean, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1, Trainer: regress.RidgeTrainer(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.Diagnose(sym)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var fits atomic.Int64
@@ -105,13 +126,28 @@ func TestParallelTrainingCancelMidPool(t *testing.T) {
 			return &cancelAfterTrainer{Predictor: regress.NewRidge(1), fits: &fits, after: 3, cancel: cancel}
 		})
 		m, err := TrainOpt(ctx, db, g, testConfig(), TrainOpts{Now: -1, Workers: workers, Trainer: trainer})
+		if err != nil {
+			t.Fatalf("workers=%d: training: %v", workers, err)
+		}
+		d, err := m.DiagnoseContext(ctx, sym, workers)
 		cancel()
 		if err == nil {
-			t.Fatalf("workers=%d: training survived cancellation (model %v)", workers, m != nil)
+			t.Fatalf("workers=%d: diagnosis survived cancellation", workers)
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
+		if d == nil || len(d.Causes) != 0 || len(d.Skipped) != len(d.Candidates) {
+			t.Fatalf("workers=%d: cancelled mid pre-fit yet evaluated candidates: %+v", workers, d)
+		}
+		if n := fits.Load(); n < 3 || n > int64(2+workers) {
+			t.Fatalf("workers=%d: %d fits ran; the pool should stop within one fit per worker of the cancel", workers, n)
+		}
+		got, err := m.DiagnoseContext(context.Background(), sym, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: diagnosis after the cancelled one: %v", workers, err)
+		}
+		sameDiagnosis(t, fmt.Sprintf("workers=%d after a cancelled pre-fit", workers), want, got)
 	}
 }
 

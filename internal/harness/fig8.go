@@ -295,7 +295,10 @@ func RunFig8b(opts Fig8bOptions) (*Fig8bResult, error) {
 			}
 			res.Total++
 			for _, w := range opts.Rounds {
-				pred, ok := model.PredictUnderIntervention(overrides, q, telemetry.MetricCPU, w)
+				pred, ok, err := model.PredictUnderIntervention(overrides, q, telemetry.MetricCPU, w)
+				if err != nil {
+					return nil, err
+				}
 				if !ok {
 					continue
 				}

@@ -135,8 +135,13 @@ func RunIncTrain(opts IncTrainOptions) (*IncTrainResult, error) {
 	anchor := db.Len() - 1 - opts.Slides
 	var fullModel, incModel *core.Model
 	for t := anchor; t < db.Len(); t++ {
+		// The full arm fits every factor, as the store's pass updates
+		// every factor: a full retrain otherwise defers its fits.
 		t0 := time.Now()
 		fullModel, err = core.TrainOpt(ctx, db, g, cfg, core.TrainOpts{Now: t})
+		if err == nil {
+			err = fullModel.FitAll(ctx, 1)
+		}
 		fullWall := time.Since(t0)
 		if err != nil {
 			return nil, err

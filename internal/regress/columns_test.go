@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"murphy/internal/stats"
 )
 
 // fitPair trains one Ridge via row-major Fit and one via FitColumns on the
@@ -209,5 +211,86 @@ func TestFitColumnsConcurrentShapes(t *testing.T) {
 		if e != "" {
 			t.Errorf("shape %v: %s", shapes[k], e)
 		}
+	}
+}
+
+// TestFitCenteredMatchesMeanStd holds FitCentered, which takes each
+// feature's mean and std from the caller's stats.Centered views, to Fit,
+// which derives them with a MeanStd pass per feature: coefficients,
+// standardization, intercept and residual std must agree bit for bit, or
+// both fits must fail alike. Shapes are random, and columns are randomly
+// constant, NaN-holding, or constant but for one NaN.
+func TestFitCenteredMatchesMeanStd(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	kinds := [4]int{}
+	failed := 0
+	for trial := 0; trial < 400; trial++ {
+		n, p := 1+rng.Intn(300), rng.Intn(8)
+		cols := make([][]float64, p)
+		for j := range cols {
+			kind := rng.Intn(4)
+			kinds[kind]++
+			c := make([]float64, n)
+			for i := range c {
+				c[i] = rng.NormFloat64()*float64(1+j) + 50
+			}
+			switch kind {
+			case 1: // constant
+				for i := range c {
+					c[i] = 7.25
+				}
+			case 2: // a NaN somewhere
+				c[rng.Intn(n)] = math.NaN()
+			case 3: // constant but for a NaN
+				for i := range c {
+					c[i] = -3
+				}
+				c[rng.Intn(n)] = math.NaN()
+			}
+			cols[j] = c
+		}
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = rng.NormFloat64()
+			if p > 0 {
+				y[i] += 0.4 * cols[0][i]
+			}
+		}
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = cols0Row(cols, i)
+		}
+		want := NewRidge(1)
+		werr := want.Fit(rows, y)
+		views := make([]*stats.Centered, p)
+		for j, c := range cols {
+			v := stats.Center(c)
+			views[j] = &v
+		}
+		yv := stats.Center(y)
+		got := NewRidge(1)
+		gerr := got.FitCentered(views, &yv)
+		label := fmt.Sprintf("trial %d (n=%d, p=%d)", trial, n, p)
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("%s: Fit error %v, FitCentered error %v", label, werr, gerr)
+		}
+		if werr != nil {
+			failed++
+			continue
+		}
+		if d := ridgeBitsDiffer(want, got); d != "" {
+			t.Fatalf("%s: %s", label, d)
+		}
+		for j := range want.featMean {
+			if math.Float64bits(want.featMean[j]) != math.Float64bits(got.featMean[j]) ||
+				math.Float64bits(want.featStd[j]) != math.Float64bits(got.featStd[j]) {
+				t.Fatalf("%s: feature %d standardized by (%v, %v), MeanStd gives (%v, %v)",
+					label, j, got.featMean[j], got.featStd[j], want.featMean[j], want.featStd[j])
+			}
+		}
+	}
+	t.Logf("column kinds (varying, constant, NaN, constant+NaN): %v; %d of 400 fits failed alike", kinds, failed)
+	if failed > 200 {
+		t.Fatalf("%d of 400 fits failed; the bit comparison covers too little", failed)
 	}
 }

@@ -34,14 +34,15 @@ type Predictor interface {
 // Trainer so every entity factor gets its own model instance.
 type Trainer func() Predictor
 
-// ColumnsFitter is implemented by predictors that can train directly from
-// feature columns (each column one feature across all time slices), skipping
-// the row-major design matrix entirely. The MRF training pass holds its
-// telemetry windows as columns, so a ColumnsFitter avoids materializing and
-// then re-transposing an n×B row matrix per factor. Implementations must be
-// bit-identical to Fit on the transposed input.
-type ColumnsFitter interface {
-	FitColumns(cols [][]float64, y []float64) error
+// CenteredFitter is implemented by predictors that train directly from
+// feature columns (each column one feature across all time slices) whose
+// moments the caller already holds. The MRF training pass keeps every
+// telemetry window as a stats.Centered view for the |Pearson| ranking, so a
+// CenteredFitter skips both the row-major design matrix and a mean/std pass
+// per feature per fit. Implementations must be bit-identical to Fit on the
+// transposed input.
+type CenteredFitter interface {
+	FitCentered(cols []*stats.Centered, y *stats.Centered) error
 }
 
 // ErrNoData is returned by Fit when the training set is empty or degenerate.
@@ -205,34 +206,70 @@ func (r *Ridge) LinearTerms() (coef, mean, std []float64, intercept float64, ok 
 // hot path, which holds telemetry windows as columns and previously paid an
 // n×B row-matrix materialization plus a transpose per factor.
 func (r *Ridge) FitColumns(cols [][]float64, y []float64) error {
-	n := len(y)
-	if n == 0 {
+	if err := checkColumns(cols, y); err != nil {
+		return err
+	}
+	mean, std := make([]float64, len(cols)), make([]float64, len(cols))
+	for j, c := range cols {
+		mean[j], std[j] = stats.MeanStd(c)
+	}
+	return r.fitStandardized(cols, mean, std, y, stats.Mean(y))
+}
+
+// FitCentered is FitColumns with the moments taken from the callers'
+// centered views instead of a MeanStd pass per feature: the feature mean is
+// Centered.Mean and its std √(SumSq/(n−1)), which Center accumulates in
+// MeanStd's operation order, so the fit is bit-identical to FitColumns (and
+// so to Fit) on the views' source series.
+func (r *Ridge) FitCentered(cols []*stats.Centered, y *stats.Centered) error {
+	src := make([][]float64, len(cols))
+	mean, std := make([]float64, len(cols)), make([]float64, len(cols))
+	for j, c := range cols {
+		src[j], mean[j] = c.Src, c.Mean
+		if n := len(c.Src); n >= 2 {
+			std[j] = math.Sqrt(c.SumSq / float64(n-1))
+		}
+	}
+	if err := checkColumns(src, y.Src); err != nil {
+		return err
+	}
+	return r.fitStandardized(src, mean, std, y.Src, y.Mean)
+}
+
+// checkColumns rejects an empty target and columns of another length.
+func checkColumns(cols [][]float64, y []float64) error {
+	if len(y) == 0 {
 		return ErrNoData
 	}
-	nFeat := len(cols)
 	for _, c := range cols {
-		if len(c) != n {
+		if len(c) != len(y) {
 			return ErrNoData
 		}
 	}
+	return nil
+}
+
+// fitStandardized is the column fit given each feature's mean and sample
+// std (a zero or NaN std standardizes by 1, so a constant feature
+// contributes 0) and the target mean. The slices mean and std become the
+// model's own.
+func (r *Ridge) fitStandardized(cols [][]float64, mean, std, y []float64, ymean float64) error {
+	n := len(y)
+	nFeat := len(cols)
 	if nFeat == 0 {
-		r.intercept = stats.Mean(y)
+		r.intercept = ymean
 		r.coef = nil
 		r.featMean, r.featStd = nil, nil
 		r.resid = stats.StdDev(y)
 		r.fitted = true
 		return nil
 	}
-	r.featMean = make([]float64, nFeat)
-	r.featStd = make([]float64, nFeat)
-	for j, c := range cols {
-		m, s := stats.MeanStd(c)
+	for j, s := range std {
 		if s == 0 || math.IsNaN(s) {
-			s = 1
+			std[j] = 1
 		}
-		r.featMean[j], r.featStd[j] = m, s
 	}
-	ymean := stats.Mean(y)
+	r.featMean, r.featStd = mean, std
 	d := getDesign(nFeat, n)
 	zcols, yc := d.cols, d.yc
 	for j, c := range cols {

@@ -6,7 +6,8 @@
 // the same ziggurat, so its draws are bit-identical to that stream, and
 // its bulk methods keep the register step and the ziggurat's common case
 // inside their loops. Only a draw outside its layer's inner rectangle
-// (about one in 40) calls out, to the stdlib's own slow-path arithmetic.
+// (about one in 40) calls out, to the stdlib's own slow-path arithmetic,
+// whose wedge test a bound settles without math.Exp nearly every time.
 //
 // The ziggurat tables mrKn, mrWn and mrFn, the constant mrR and the draw
 // algorithm are Go's math/rand (normal.go, rng.go):
@@ -184,9 +185,10 @@ func (s *MathRandSource) SkipNorm(n int) {
 
 // normSlow finishes a draw whose word j, with candidate x = j·wn[j&0x7F],
 // fell outside its layer's inner rectangle. It is Rand.NormFloat64's loop
-// from that point on, word for word and with the same math.Log and
-// math.Exp evaluations: the base strip's tail for layer 0, a wedge test
-// for the others, and a fresh draw after a wedge rejection.
+// from that point on, word for word: the base strip's tail for layer 0,
+// with the same math.Log evaluations, a wedge test for the others (with
+// the same outcome as its math.Exp comparison; see mrWedgeAccept), and a
+// fresh draw after a wedge rejection.
 func (s *MathRandSource) normSlow(j int32, x float64) float64 {
 	for {
 		i := j & 0x7F
@@ -203,7 +205,7 @@ func (s *MathRandSource) normSlow(j int32, x float64) float64 {
 			}
 			return -mrR - x
 		}
-		if mrFn[i]+float32(s.uniform())*(mrFn[i-1]-mrFn[i]) < float32(math.Exp(-.5*x*x)) {
+		if mrWedgeAccept(i, x, s.uniform()) {
 			return x
 		}
 		j = int32(s.next() >> 31)
@@ -214,6 +216,69 @@ func (s *MathRandSource) normSlow(j int32, x float64) float64 {
 		}
 	}
 }
+
+// mrWedgeAccept is normal.go's wedge test for layer i's candidate x and
+// uniform u,
+//
+//	fn[i]+float32(u)*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)),
+//
+// with the same result on every input, but with math.Exp evaluated only
+// when a cheap bound cannot settle the comparison. The bound writes
+// exp(−x²/2) = exp(−m²/2)·exp(d), d = (m−|x|)(m+|x|)/2, around the midpoint
+// m of the layer's wedge, and estimates exp(d) by its degree-4 Taylor
+// polynomial. The estimate is within rc·|d|⁵ + 1e−13 of the true value,
+// relatively: rc covers the Taylor remainder, 1e−13 the rounding of the
+// estimate, of math.Exp (under one ulp) and of −.5*x*x. math.Exp rounded to
+// float32 moves by at most 2⁻²⁴ more, so a left side below the estimate by
+// a relative 2⁻²² + rc·|d|⁵ is below the right side too, and one above it by
+// as much is above it.
+func mrWedgeAccept(i int32, x, u float64) bool {
+	lhs := mrFn[i] + float32(u)*(mrFn[i-1]-mrFn[i])
+	if accept, decided := mrWedgeSqueeze(i, x, lhs); decided {
+		return accept
+	}
+	return lhs < float32(math.Exp(-.5*x*x))
+}
+
+// mrWedgeSqueeze decides lhs < float32(math.Exp(-.5*x*x)) from the bound
+// alone; decided is false when lhs falls inside the bound's margin.
+func mrWedgeSqueeze(i int32, x float64, lhs float32) (accept, decided bool) {
+	sq := &mrSqueeze[i]
+	ax := math.Abs(x)
+	d := 0.5 * (sq.m - ax) * (sq.m + ax)
+	est := sq.fm * (1 + d*(1+d*(1.0/2+d*(1.0/6+d*(1.0/24)))))
+	d2 := d * d
+	tol := mrSqueezeSlack + sq.rc*d2*d2*math.Abs(d)
+	switch l := float64(lhs); {
+	case l < est*(1-tol):
+		return true, true
+	case l > est*(1+tol):
+		return false, true
+	}
+	return false, false
+}
+
+// mrSqueezeSlack is the bound's fixed relative margin: 2⁻²², which covers
+// the float32 rounding of math.Exp (2⁻²⁴) and the estimate's 1e−13 with
+// room to spare.
+const mrSqueezeSlack = 0x1p-22
+
+// mrSqueeze holds each wedge layer's bound: the midpoint m of the |x| range
+// [kn[i]·wn[i], 2³¹·wn[i]], exp(−m²/2), and the Taylor remainder coefficient
+// rc = e^{2D}/5!, where D bounds |d| over the range (padded). Layer 0, the
+// base strip, has no wedge.
+var mrSqueeze = func() (t [128]struct{ m, fm, rc float64 }) {
+	for i := 1; i < 128; i++ {
+		a := float64(mrKn[i]) * float64(mrWn[i])
+		b := (1 << 31) * float64(mrWn[i])
+		m := (a + b) / 2
+		dmax := (b*b-m*m)/2 + 0.01
+		t[i].m = m
+		t[i].fm = math.Exp(-.5 * m * m)
+		t[i].rc = math.Exp(2*dmax) / 120
+	}
+	return t
+}()
 
 // Ziggurat tables, copied from math/rand/normal.go.
 

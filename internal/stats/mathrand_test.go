@@ -235,3 +235,99 @@ func FuzzMathRandSourceMatchesStdlib(f *testing.F) {
 		replayOps(t, seed, ops)
 	})
 }
+
+// wedgeRef is normal.go's wedge test as written there.
+func wedgeRef(i int32, x, u float64) bool {
+	return mrFn[i]+float32(u)*(mrFn[i-1]-mrFn[i]) < float32(math.Exp(-.5*x*x))
+}
+
+// wedgeX returns layer i's candidate for a word whose |j| is at or past the
+// layer's inner rectangle, as the ziggurat forms it.
+func wedgeX(i int32, j int32) float64 { return float64(j) * float64(mrWn[i]) }
+
+// TestMathRandWedgeSqueezeMatchesExp holds the wedge squeeze to the
+// stdlib's math.Exp comparison. It checks 10⁷ random wedge draws spread over
+// layers 1–127 (both signs, the whole |j| range of each wedge), then, for
+// candidates across every layer, the uniforms whose left side lands on the
+// float32 right side itself or within 8 float32 steps of it, where only the
+// bound's margin keeps the two tests apart.
+func TestMathRandWedgeSqueezeMatchesExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const draws = 10_000_000
+	decided := 0
+	for k := 0; k < draws; k++ {
+		i := int32(1 + k%127)
+		lo := int64(mrKn[i])
+		j := int32(lo + rng.Int63n(1<<31-lo))
+		if rng.Intn(2) == 0 {
+			j = -j
+		}
+		x, u := wedgeX(i, j), rng.Float64()
+		if got, want := mrWedgeAccept(i, x, u), wedgeRef(i, x, u); got != want {
+			t.Fatalf("layer %d x=%v u=%v: squeeze %v, math.Exp %v", i, x, u, got, want)
+		}
+		if _, ok := mrWedgeSqueeze(i, x, mrFn[i]+float32(u)*(mrFn[i-1]-mrFn[i])); ok {
+			decided++
+		}
+	}
+	t.Logf("the squeeze decided %d of %d uniform wedge draws (%.5f%%)", decided, draws, 100*float64(decided)/draws)
+
+	near, onRHS := 0, 0
+	for i := int32(1); i < 128; i++ {
+		lo := int64(mrKn[i])
+		for s := 0; s < 64; s++ {
+			j := int32(lo + (1<<31-1-lo)*int64(s)/63)
+			x := wedgeX(i, j)
+			rhs := float32(math.Exp(-.5 * x * x))
+			h := mrFn[i-1] - mrFn[i]
+			u0 := float32((float64(rhs) - float64(mrFn[i])) / float64(h))
+			for _, dir := range []float32{-1, 1} {
+				uf := u0
+				for step := 0; step < 24; step++ {
+					if uf >= 0 && uf < 1 {
+						lhs := mrFn[i] + uf*h
+						if d := math.Abs(float64(lhs) - float64(rhs)); d <= 8*float64(math.Nextafter32(rhs, 2)-rhs) {
+							near++
+							if lhs == rhs {
+								onRHS++
+							}
+							u := float64(uf)
+							if got, want := mrWedgeAccept(i, x, u), wedgeRef(i, x, u); got != want {
+								t.Fatalf("layer %d x=%v u=%v (lhs %v, rhs %v): squeeze %v, math.Exp %v", i, x, u, lhs, rhs, got, want)
+							}
+						}
+					}
+					uf = math.Nextafter32(uf, dir*2)
+				}
+			}
+		}
+	}
+	if near < 127*64 || onRHS < 127 {
+		t.Fatalf("only %d near-boundary uniforms (%d on the right side itself); the check covers too little", near, onRHS)
+	}
+	t.Logf("%d near-boundary uniforms checked, %d with the left side equal to the right", near, onRHS)
+}
+
+// TestMathRandWedgeSqueezeShare measures, over the wedge draws a real
+// stream makes, how many the squeeze decides without math.Exp.
+func TestMathRandWedgeSqueezeShare(t *testing.T) {
+	src := NewMathRandSource(5)
+	wedges, decided := 0, 0
+	for wedges < 200_000 {
+		j := int32(src.next() >> 31)
+		i := j & 0x7F
+		if i == 0 || mrAbs(j) < mrKn[i] {
+			continue
+		}
+		wedges++
+		lhs := mrFn[i] + float32(src.uniform())*(mrFn[i-1]-mrFn[i])
+		if _, ok := mrWedgeSqueeze(i, wedgeX(i, j), lhs); ok {
+			decided++
+		}
+	}
+	share := float64(decided) / float64(wedges)
+	t.Logf("the squeeze decided %d of %d stream wedge draws (%.5f%%)", decided, wedges, 100*share)
+	if share < 0.999 {
+		t.Fatalf("the squeeze decided only %.3f%% of wedge draws", 100*share)
+	}
+}

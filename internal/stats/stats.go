@@ -123,50 +123,58 @@ func AbsPearson(xs, ys []float64) float64 {
 	return math.Abs(r)
 }
 
-// Centered is a precomputed centered view of one series: its mean, the
-// mean-subtracted values, and their sum of squares. Training ranks every
-// (neighbor, target) metric pair by |Pearson|; computing the correlation from
-// two Centered series reduces the per-pair cost to a single dot product,
-// instead of re-deriving both means and both sums of squares on every pair.
+// Centered is a precomputed centered view of one series: the series itself,
+// its mean, and its centered sum of squares. Training ranks every (neighbor,
+// target) metric pair by |Pearson|; computing the correlation from two
+// Centered series reduces the per-pair cost to a single pass over the
+// differences, instead of re-deriving both means and both sums of squares on
+// every pair.
 //
-// The moments are accumulated in the same operation order as Pearson, so
-// AbsPearsonCentered is bit-identical to AbsPearson on the raw series.
+// The view holds no centered copy: the cross sum subtracts the mean on the
+// fly, which is exactly the subtraction a stored copy would hold, so the bits
+// are the same without n extra values per series. The moments are
+// accumulated in the same operation order as Pearson and MeanStd, so
+// AbsPearsonCentered is bit-identical to AbsPearson on the raw series and
+// √(SumSq/(n−1)) to MeanStd's standard deviation.
 type Centered struct {
-	// Mean is the arithmetic mean of the source series.
+	// Src is the source series (not a copy; the view must not outlive a
+	// mutation of it).
+	Src []float64
+	// Mean is the arithmetic mean of Src.
 	Mean float64
-	// Vals is the centered copy: source[i] - Mean.
-	Vals []float64
-	// SumSq is Σ Vals[i]² accumulated in index order.
+	// SumSq is Σ (Src[i]−Mean)² accumulated in index order.
 	SumSq float64
 }
 
-// Center computes the centered view of xs in a single pass over the centered
-// values (one prior pass derives the mean, exactly as Pearson does).
+// Center computes the centered view of xs: one pass derives the mean,
+// exactly as Pearson does, and a second accumulates the centered sum of
+// squares. It allocates nothing.
 func Center(xs []float64) Centered {
-	c := Centered{Mean: Mean(xs), Vals: make([]float64, len(xs))}
-	for i, x := range xs {
+	c := Centered{Src: xs, Mean: Mean(xs)}
+	for _, x := range xs {
 		d := x - c.Mean
-		c.Vals[i] = d
 		c.SumSq += d * d
 	}
 	return c
 }
 
 // AbsPearsonCentered returns |Pearson| of the two source series given their
-// precomputed centered views. It is bit-for-bit identical to calling
-// AbsPearson on the raw series: the cross sum runs over the same centered
-// differences in the same order, and the per-series sums of squares were
-// accumulated identically by Center.
+// centered views. It is bit-for-bit identical to calling AbsPearson on the
+// raw series: the cross sum runs over the same centered differences in the
+// same order, and the per-series sums of squares were accumulated
+// identically by Center.
 func AbsPearsonCentered(a, b *Centered) float64 {
-	if len(a.Vals) != len(b.Vals) || len(a.Vals) < 2 {
+	if len(a.Src) != len(b.Src) || len(a.Src) < 2 {
 		return 0
 	}
 	if a.SumSq == 0 || b.SumSq == 0 {
 		return 0
 	}
+	ma, mb := a.Mean, b.Mean
+	ys := b.Src[:len(a.Src)]
 	sxy := 0.0
-	for i, av := range a.Vals {
-		sxy += av * b.Vals[i]
+	for i, x := range a.Src {
+		sxy += (x - ma) * (ys[i] - mb)
 	}
 	r := sxy / math.Sqrt(a.SumSq*b.SumSq)
 	if math.IsNaN(r) {

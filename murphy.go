@@ -221,12 +221,14 @@ type BatchItem struct {
 // DiagnoseBatch diagnoses several symptoms of one incident against a single
 // online-trained model: the MRF is trained once (on the WithWorkers pool)
 // and every symptom then reuses it — along with the model's shortest-path
-// subgraph cache — instead of paying the per-call retraining that separate Diagnose calls would. Per-symptom failures
-// (unknown entity, cancellation mid-inference) land in the item's Err
-// without aborting the remaining symptoms; the call itself errors only when
-// training fails, since then no symptom can be answered. Reports are
-// identical to what per-symptom DiagnoseContext calls at the same time slice
-// would produce.
+// subgraph cache and every factor fit an earlier symptom already demanded
+// — instead of paying the per-call retraining that separate Diagnose calls
+// would. Per-symptom failures (unknown entity, cancellation mid-inference,
+// a failed fit of a factor the symptom's candidates read) land in the
+// item's Err without aborting the remaining symptoms; the call itself
+// errors only when training fails, since then no symptom can be answered.
+// Reports are identical to what per-symptom DiagnoseContext calls at the
+// same time slice would produce.
 func (s *System) DiagnoseBatch(ctx context.Context, symptoms []telemetry.Symptom) ([]BatchItem, error) {
 	if len(symptoms) == 0 {
 		return nil, nil
@@ -279,7 +281,10 @@ func (s *System) WhatIfContext(ctx context.Context, overrides map[telemetry.Enti
 	if err != nil {
 		return 0, 0, false, err
 	}
-	pred, reached := model.PredictUnderIntervention(overrides, target, targetMetric, 0)
+	pred, reached, err := model.PredictUnderIntervention(overrides, target, targetMetric, 0)
+	if err != nil {
+		return 0, 0, false, err
+	}
 	return pred, model.CurrentValue(target, targetMetric), reached, nil
 }
 
